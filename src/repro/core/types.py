@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class BranchTrace:
         "kinds",
         "instr_indices",
         "instr_count",
-        "_lists",
         "_cond_cols",
         "_cond_codes",
         "_plan_cache",
@@ -113,9 +112,6 @@ class BranchTrace:
         if n and instr_count <= int(self.instr_indices[-1]):
             raise ValueError("instr_count must exceed the last instruction index")
         self.instr_count = int(instr_count)
-        self._lists: Optional[
-            Tuple[List[int], List[bool], List[int], List[int], List[int]]
-        ] = None
         self._cond_cols: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._cond_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # Scoring-plan memo used by repro.kernels.engine: grouping work that
@@ -135,50 +131,13 @@ class BranchTrace:
                 instr_index=int(self.instr_indices[i]),
             )
 
-    @classmethod
-    def from_records(
-        cls, records: Iterable[BranchRecord], instr_count: Optional[int] = None
-    ) -> "BranchTrace":
-        recs = list(records)
-        return cls(
-            ips=[r.ip for r in recs],
-            taken=[r.taken for r in recs],
-            targets=[r.target for r in recs],
-            kinds=[int(r.kind) for r in recs],
-            instr_indices=[r.instr_index for r in recs],
-            instr_count=instr_count,
-        )
-
-    def columns_as_lists(
-        self,
-    ) -> Tuple[List[int], List[bool], List[int], List[int], List[int]]:
-        """The trace columns as plain Python lists, decoded once.
-
-        The scalar simulation loop iterates the columns element-wise, where
-        list indexing beats ``ndarray.__getitem__`` (no per-access boxing);
-        decoding via ``.tolist()`` is O(n), so the result is memoized on the
-        trace.  Columns are treated as immutable after construction — callers
-        must not mutate the returned lists (or the backing arrays).
-
-        Returns ``(ips, taken, targets, kinds, instr_indices)`` with
-        ``taken`` as real booleans.
-        """
-        if self._lists is None:
-            self._lists = (
-                self.ips.tolist(),
-                self.taken.astype(bool).tolist(),
-                self.targets.tolist(),
-                self.kinds.tolist(),
-                self.instr_indices.tolist(),
-            )
-        return self._lists
-
     def conditional_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ips, taken, instr_indices)`` of the conditional subsequence.
 
         Memoized: simulating several predictors over one trace (the normal
-        experiment shape) pays the boolean extraction once.  Same
-        immutability contract as :meth:`columns_as_lists`.
+        experiment shape) pays the boolean extraction once.  Columns are
+        treated as immutable after construction — callers must not mutate
+        the returned arrays (or the backing ones).
         """
         if self._cond_cols is None:
             cond = self.conditional_mask

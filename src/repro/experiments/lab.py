@@ -36,7 +36,6 @@ from typing import (
 
 from repro import obs
 from repro.obs import introspect
-from repro.core.metrics import BranchStats
 from repro.core.types import WorkloadTrace
 from repro.experiments.config import (
     SLICE_INSTRUCTIONS,
@@ -858,27 +857,6 @@ class Lab:
         if self.cache_dir is None:
             return None
         return self.cache_dir / self._cache_filename("sim", key)
-
-    # -- aggregates --------------------------------------------------------
-
-    def aggregate_stats(
-        self, names: List[str], predictor: str = "tage-sc-l-8kb"
-    ) -> Tuple[BranchStats, int]:
-        """Pooled per-branch stats and total instructions over workloads
-        (all inputs under the tier).  Branch IPs collide across programs, so
-        IPs are offset per (workload, input) before pooling."""
-        pooled = BranchStats()
-        instructions = 0
-        for w, name in enumerate(names):
-            for input_index in self.inputs_for(name):
-                result = self.simulate(name, input_index, predictor)
-                offset = (w * 64 + input_index + 1) << 40
-                for ip, counts in result.stats.items():
-                    pooled.record_bulk(
-                        ip + offset, counts.executions, counts.mispredictions
-                    )
-                instructions += result.instr_count
-        return pooled, instructions
 
 
 _DEFAULT_LAB: Optional[Lab] = None

@@ -6,15 +6,14 @@ predictors (bimodal, gshare, two-level-local) and the oracle family reduce
 to precomputed index streams followed by a grouped per-table-entry
 saturating-counter replay — no per-branch Python dispatch.  Predictors
 advertise a kernel via :meth:`repro.predictors.base.BranchPredictor.
-vectorized_kernel`; :func:`repro.pipeline.simulator.simulate_trace` routes
-to it when available and falls back to the scalar loop otherwise
-(allocation-feedback predictors like TAGE/TAGE-SC-L stay scalar).
-
-The vectorized path is **bit-identical** to the scalar path: same
-:class:`~repro.core.metrics.BranchStats` contents and insertion order, same
-slice lists, warmup semantics, and ``mispredict_positions``, and the
-predictor's tables/history are left in the same final state.  Set
-``REPRO_KERNELS=0`` to force the scalar loop everywhere.
+vectorized_kernel`; TAGE/TAGE-SC-L use the batched replay in
+:mod:`repro.kernels.batched`.  Each backend that
+:func:`repro.pipeline.simulator.simulate_trace` dispatches to — a kernel,
+the batched replay, or the drive-only scalar loop — yields one prediction
+per conditional branch, which :func:`score_predictions` alone scores.
+Kernels leave the predictor in the scalar loop's final state, so results
+are **bit-identical** on every path.  ``REPRO_KERNELS=0`` forces the
+scalar loop everywhere.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import os
 from typing import Iterator, Tuple
 
 from repro.kernels.engine import (
-    VectorizedScore,
     cond_positions,
     plan_memo,
     score_predictions,
@@ -47,7 +45,6 @@ from repro.kernels.scan import (
 __all__ = [
     "CounterScan",
     "LocalHistory",
-    "VectorizedScore",
     "cond_positions",
     "final_history",
     "kernels_disabled",

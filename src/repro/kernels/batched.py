@@ -33,7 +33,13 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.types import BranchTrace
-from repro.kernels.engine import cond_positions, plan_memo, stream_bits
+from repro.kernels.engine import (
+    Attribution,
+    Predictions,
+    cond_positions,
+    plan_memo,
+    stream_bits,
+)
 from repro.kernels.scan import final_history, local_history, packed_history
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid predictor cycles
@@ -41,19 +47,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid predictor cycles
     from repro.predictors.tagescl import TageScL
 
 _CHUNK = 1 << 16  # rows decoded to Python lists at a time (bounds memory)
-
-
-@dataclass
-class BatchedPrediction:
-    """One preset's replay output.
-
-    ``attrs`` carries the per-conditional-branch ``introspect_last``
-    tuples (provider, used_alt, loop_used, sc_flipped) and is populated
-    only when the replay was asked to collect introspection.
-    """
-
-    preds: np.ndarray
-    attrs: Optional[List[Tuple[int, bool, bool, bool]]] = None
 
 
 def batchable(predictor: Any) -> bool:
@@ -91,12 +84,13 @@ def replay_tagescl_batch(
     trace: BranchTrace,
     predictors: Sequence,
     collect_introspection: bool = False,
-) -> List[BatchedPrediction]:
+) -> List[Predictions]:
     """Replay every predictor (a TAGE-SC-L preset) over ``trace`` at once.
 
-    Returns one :class:`BatchedPrediction` per predictor, in order, and
-    leaves each predictor in exactly the state the scalar loop would.
-    Callers score the prediction vectors with
+    Returns one :data:`~repro.kernels.engine.Predictions` per predictor, in
+    order (attributions only with ``collect_introspection``), and leaves
+    each predictor in exactly the state the scalar loop would.  Callers
+    score the prediction vectors with
     :func:`repro.kernels.engine.score_predictions` (one shared scoring
     plan per trace).
     """
@@ -362,7 +356,7 @@ def _replay_preset(
     taken_l: List[bool],
     pos: np.ndarray,
     collect: bool,
-) -> BatchedPrediction:
+) -> Predictions:
     from repro.predictors.tagescl import TageScL
 
     n = len(ips_c)
@@ -450,7 +444,7 @@ def _replay_preset(
 
     preds: List[bool] = []
     preds_append = preds.append
-    attrs: Optional[List[Tuple[int, bool, bool, bool]]] = [] if collect else None
+    attrs: Optional[List[Optional[Attribution]]] = [] if collect else None
     attrs_append = attrs.append if attrs is not None else None
 
     # Loop locals that outlive the walk feed the final-state writeback.
@@ -820,4 +814,4 @@ def _replay_preset(
             ens.imli.count = pre_c.imli_final_count
             ens.imli._last_backward_ip = pre_c.imli_final_ip
 
-    return BatchedPrediction(preds=np.array(preds, dtype=bool), attrs=attrs)
+    return np.array(preds, dtype=bool), attrs

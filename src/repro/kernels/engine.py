@@ -1,12 +1,14 @@
-"""Vectorized scoring: kernel predictions → the scalar loop's outputs.
+"""Vectorized scoring: one prediction vector → every simulation output.
 
-:func:`score_with_kernel` reproduces, without per-branch Python, everything
-the scalar ``simulate_trace`` loop accumulates: aggregate and per-slice
-:class:`~repro.core.metrics.BranchStats` (including the scalar loop's
-insertion order, so downstream float reductions see the same operand
-order), warmup exclusion, empty-slice emission at boundary crossings, and
-the recorded mispredict positions.  The equivalence suite in
-``tests/pipeline/test_kernels.py`` holds the two paths bit-identical.
+:func:`score_predictions` is the only scorer.  Every simulation backend
+(per-predictor numpy kernel, batched TAGE-SC-L replay, drive-only scalar
+loop) yields one predicted direction per conditional branch, and this turns
+that vector into aggregate and per-slice
+:class:`~repro.core.metrics.BranchStats` (in first-appearance insertion
+order, so downstream float reductions see a fixed operand order), warmup
+exclusion, empty-slice emission at boundary crossings, and the recorded
+mispredict positions.  ``tests/pipeline/test_scoring_oracle.py`` holds it
+equal to a plain per-branch ``BranchStats.record`` reference.
 
 Scoring splits into a *plan* — every grouping that depends only on
 ``(trace, warmup, slice length)``: unique IPs, execution counts, stats
@@ -38,33 +40,30 @@ from repro.core.types import BranchTrace
 #: observe unconditional branches) reconstruct their history streams.
 TraceKernel = Callable[..., np.ndarray]
 
+#: A predictor's ``introspect_last()`` attribution of one prediction:
+#: (provider table or -1 for the base, used_alt, loop_used, sc_flipped).
+Attribution = Tuple[int, bool, bool, bool]
 
-@dataclass
-class VectorizedScore:
-    """What the vectorized path accumulated for one (trace, predictor).
+#: What every simulation backend yields for one predictor: the predicted
+#: direction of each conditional branch and, when introspecting, each
+#: prediction's attribution (``None`` for predictors without one).
+Predictions = Tuple[np.ndarray, Optional[List[Optional[Attribution]]]]
 
-    The ``intro_*`` arrays (the scored mispredictions' IPs and instruction
-    positions) are populated only when scoring was asked to collect
-    introspection data; normal callers see ``None``.
-    """
 
-    stats: BranchStats
-    slice_stats: Optional[List[BranchStats]]
-    mispredict_positions: Optional[np.ndarray]
-    cond_branches: int
-    intro_mis_ips: Optional[np.ndarray] = None
-    intro_mis_pos: Optional[np.ndarray] = None
+#: :func:`score_predictions`'s result: aggregate stats, per-slice stats
+#: (``None`` without slicing), mispredict positions (``None`` unless asked).
+Score = Tuple[BranchStats, Optional[List[BranchStats]], Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
 class _ScoringPlan:
     """Predictor-independent grouping for one (trace, warmup, slice length).
 
-    Aggregate fields list the scored static branches in the scalar loop's
-    dict insertion order (first appearance in the scored stream); ``inv``
-    recodes each scored branch to its 0-based rank in sorted-unique IP
-    order, exactly like ``np.unique``'s inverse, for the per-call
-    misprediction bincount.  Slice fields do the same per
+    Aggregate fields list the scored static branches in per-branch
+    :meth:`BranchStats.record` insertion order (first appearance in the
+    scored stream); ``inv`` recodes each scored branch to its 0-based rank
+    in sorted-unique IP order, exactly like ``np.unique``'s inverse, for
+    the per-call misprediction bincount.  Slice fields do the same per
     ``(slice, branch)`` key.
     """
 
@@ -118,11 +117,11 @@ def _build_plan(
     key_inv = key_pick = None
     key_slice = key_ips = key_exec = None
     if slice_instructions is not None:
-        # The scalar loop closes a slice whenever *any* branch record (of
-        # any kind) crosses the boundary, so the number of in-loop slices
-        # is set by the last record's instruction index; the trailing
-        # partial slice is kept only if it scored something (or the list
-        # would otherwise be empty).
+        # A slice closes whenever *any* branch record (of any kind) crosses
+        # its boundary, so the number of closed slices is set by the last
+        # record's instruction index; the trailing partial slice is kept
+        # only if it scored something (or the list would otherwise be
+        # empty).
         n_closed = (
             int(trace.instr_indices[-1]) // slice_instructions if len(trace) else 0
         )
@@ -140,7 +139,7 @@ def _build_plan(
             korder = np.argsort(kfirst, kind="stable")
             # First-appearance order across the whole stream is also
             # first-appearance order within each slice (positions are
-            # nondecreasing), matching the scalar record() sequence.
+            # nondecreasing), matching a per-branch record() sequence.
             key_pick = korder
             kslice, kip = np.divmod(kuniq[korder].astype(np.int64), width)
             key_slice = kslice.tolist()
@@ -162,17 +161,13 @@ def _build_plan(
     )
 
 
-def _plan_for(
-    trace: BranchTrace, w: int, slice_instructions: Optional[int]
-) -> _ScoringPlan:
-    cache = trace._plan_cache
-    if cache is None:
-        cache = trace._plan_cache = {}
-    key: Tuple[int, Optional[int]] = (w, slice_instructions)
-    plan = cache.get(key)
-    if plan is None:
-        plan = cache[key] = _build_plan(trace, w, slice_instructions)
-    return plan
+def run_kernel(trace: BranchTrace, kernel: TraceKernel) -> np.ndarray:
+    """Drive ``kernel`` over ``trace``'s conditional branches; return its
+    predicted directions."""
+    ips_c, taken_c, _ = trace.conditional_columns()
+    if getattr(kernel, "wants_trace", False):
+        return kernel(ips_c, taken_c, trace)
+    return kernel(ips_c, taken_c)
 
 
 def score_with_kernel(
@@ -181,28 +176,14 @@ def score_with_kernel(
     slice_instructions: Optional[int] = None,
     record_mispredict_positions: bool = False,
     warmup_branches: int = 0,
-    collect_introspection: bool = False,
-) -> VectorizedScore:
-    """Drive ``kernel`` over ``trace`` and score it like the scalar loop.
-
-    ``collect_introspection`` additionally exposes the mispredicted
-    branches' IPs and positions (``intro_mis_ips``/``intro_mis_pos``) —
-    nearly free here, since the wrongness mask already exists — without
-    changing the scored result.
-    """
-    ips_c, taken_c, _ = trace.conditional_columns()
-    preds = (
-        kernel(ips_c, taken_c, trace)
-        if getattr(kernel, "wants_trace", False)
-        else kernel(ips_c, taken_c)
-    )
+) -> Score:
+    """Drive ``kernel`` over ``trace`` and score its predictions."""
     return score_predictions(
         trace,
-        preds,
+        run_kernel(trace, kernel),
         slice_instructions=slice_instructions,
         record_mispredict_positions=record_mispredict_positions,
         warmup_branches=warmup_branches,
-        collect_introspection=collect_introspection,
     )
 
 
@@ -212,28 +193,30 @@ def score_predictions(
     slice_instructions: Optional[int] = None,
     record_mispredict_positions: bool = False,
     warmup_branches: int = 0,
-    collect_introspection: bool = False,
-) -> VectorizedScore:
-    """Score a ready-made vector of per-conditional-branch predictions.
+) -> Score:
+    """Score a vector of per-conditional-branch predicted directions.
 
-    The predictor-independent half of :func:`score_with_kernel`, shared
-    with the batched multi-config replay (``repro.kernels.batched``) whose
-    one pass over the trace produces a prediction vector per preset.
+    ``warmup_branches`` initial conditional branches are excluded from
+    scoring; ``slice_instructions`` adds one :class:`BranchStats` per slice
+    of that many instructions; ``record_mispredict_positions`` keeps the
+    instruction index of every scored misprediction.
     """
     if slice_instructions is not None and slice_instructions <= 0:
         raise ValueError("slice_instructions must be positive")
-    ips_c, taken_c, pos_c = trace.conditional_columns()
-
+    _, taken_c, pos_c = trace.conditional_columns()
     preds = np.asarray(preds, dtype=bool)
     if preds.shape != taken_c.shape:
         raise ValueError(
-            f"kernel returned {preds.shape} predictions for "
-            f"{taken_c.shape} conditional branches"
+            f"got {preds.shape} predictions for {taken_c.shape} conditional branches"
         )
 
     w = max(0, warmup_branches)
     s_wrong = preds[w:] != taken_c[w:]
-    plan = _plan_for(trace, w, slice_instructions)
+    plan = plan_memo(
+        trace,
+        ("scoring_plan", w, slice_instructions),
+        lambda: _build_plan(trace, w, slice_instructions),
+    )
 
     stats = BranchStats()
     if plan.width:
@@ -265,19 +248,7 @@ def score_predictions(
     if record_mispredict_positions:
         mis_positions = pos_c[w:][s_wrong].astype(np.int64, copy=True)
 
-    intro_mis_ips = intro_mis_pos = None
-    if collect_introspection:
-        intro_mis_ips = ips_c[w:][s_wrong]
-        intro_mis_pos = pos_c[w:][s_wrong]
-
-    return VectorizedScore(
-        stats=stats,
-        slice_stats=slice_list,
-        mispredict_positions=mis_positions,
-        cond_branches=int(len(ips_c)),
-        intro_mis_ips=intro_mis_ips,
-        intro_mis_pos=intro_mis_pos,
-    )
+    return stats, slice_list, mis_positions
 
 
 # ---------------------------------------------------------------------------

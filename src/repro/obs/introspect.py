@@ -3,7 +3,8 @@
 The paper is a measurement study: its Table III and Fig. 6 come from asking,
 *per static branch*, where TAGE-SC-L's predictions came from and where its
 mispredictions cluster.  Aggregate counters (``tage.pred.provider`` etc.)
-can't answer that, so this channel records — during ``simulate_trace`` —
+can't answer that, so this channel records — from each ``simulate_trace``
+call's scored prediction stream —
 
 * per-IP execution and misprediction counts,
 * a (sampled, bounded) stream of mispredict instruction positions,
@@ -15,10 +16,10 @@ can't answer that, so this channel records — during ``simulate_trace`` —
 
 Gating mirrors the rest of ``repro.obs``: off by default, enabled with
 ``REPRO_INTROSPECT=1`` or :func:`enable_introspection`; the simulator
-checks :func:`is_enabled` **once per call** and the disabled hot loop is
-untouched.  Introspection is observation-only — simulation statistics are
+checks :func:`is_enabled` **once per call** and, when disabled, collects
+nothing.  Introspection is observation-only — simulation statistics are
 bit-identical with it on or off (asserted in ``tests/obs/test_introspect.py``
-across the scalar, kernel, and parallel paths).
+across the scalar, kernel, batched, and parallel paths).
 
 Knobs (environment): ``REPRO_INTROSPECT_SAMPLE`` keeps every Nth mispredict
 position per branch (default 1 = all), ``REPRO_INTROSPECT_STREAM`` caps the
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import (
     H2P_ACCURACY_THRESHOLD,
@@ -98,7 +100,6 @@ class _IpIntro:
     __slots__ = (
         "execs",
         "mis",
-        "stream_seen",
         "stream",
         "dropped",
         "providers",
@@ -110,7 +111,6 @@ class _IpIntro:
     def __init__(self) -> None:
         self.execs = 0
         self.mis = 0
-        self.stream_seen = 0  # sampling counter, separate from ``mis``
         self.stream: List[int] = []
         self.dropped = 0
         self.providers: Dict[str, int] = {}
@@ -130,9 +130,9 @@ def _provider_key(provider: int, used_alt: bool) -> str:
 class BranchIntrospector:
     """Recorder for one ``simulate_trace`` call.
 
-    The scalar loop calls :meth:`record` per scored conditional branch;
-    the kernel path calls :meth:`record_kernel` once with the bulk arrays.
-    Either way :func:`finish` turns the accumulated state into a report.
+    Every simulation backend feeds :meth:`record_stream` once with the
+    scored conditional stream; :meth:`finish` turns the accumulated state
+    into a report.
     """
 
     def __init__(
@@ -150,69 +150,45 @@ class BranchIntrospector:
         )
         self._ips: Dict[int, _IpIntro] = {}
 
-    # -- scalar path -------------------------------------------------------
-
-    def record(
+    def record_stream(
         self,
-        ip: int,
-        pos: int,
-        correct: bool,
-        attr: Optional[Tuple[int, bool, bool, bool]],
+        ips: Iterable[int],
+        pos: Iterable[int],
+        correct: Iterable[bool],
+        attrs: Optional[Iterable[Optional[Tuple[int, bool, bool, bool]]]] = None,
     ) -> None:
-        """One scored conditional branch; ``attr`` is the predictor's
-        ``introspect_last()`` tuple (provider, used_alt, loop, sc) or None."""
-        rec = self._ips.get(ip)
-        if rec is None:
-            rec = self._ips[ip] = _IpIntro()
-        rec.execs += 1
-        if attr is not None:
-            provider, used_alt, loop_used, sc_flipped = attr
-            key = _provider_key(provider, used_alt)
-            rec.providers[key] = rec.providers.get(key, 0) + 1
-            if loop_used:
-                rec.loop_used += 1
-            if sc_flipped:
-                rec.sc_flipped += 1
-        if not correct:
-            rec.mis += 1
-            self._note_mispredict(rec, pos)
-
-    # -- kernel path -------------------------------------------------------
-
-    def record_kernel(self, stats, mis_ips, mis_pos) -> None:
-        """Bulk recording from the vectorized path: per-IP totals from the
-        scored :class:`~repro.core.metrics.BranchStats`, streams from the
-        mispredicted-branch ip/position arrays."""
-        for ip, counts in stats.items():
-            rec = self._ips.get(ip)
+        """Record scored conditional branches in stream order: each one's IP,
+        instruction position, whether it was predicted correctly, and (when
+        the backend collected them) the predictor's ``introspect_last()``
+        tuple (provider, used_alt, loop, sc) or None."""
+        get = self._ips.get
+        for ip, p, ok, attr in zip(
+            ips, pos, correct, attrs if attrs is not None else repeat(None)
+        ):
+            rec = get(ip)
             if rec is None:
                 rec = self._ips[ip] = _IpIntro()
-            rec.execs += counts.executions
-            rec.mis += counts.mispredictions
-        if mis_ips is None:
-            return
-        ips_list = mis_ips.tolist()
-        pos_list = mis_pos.tolist()
-        get = self._ips.get
-        for ip, pos in zip(ips_list, pos_list):
-            rec = get(ip)
-            if rec is None:  # defensive: stats and arrays share a source
-                rec = self._ips[ip] = _IpIntro()
-            self._note_mispredict(rec, pos)
-
-    # -- shared ------------------------------------------------------------
-
-    def _note_mispredict(self, rec: _IpIntro, pos: int) -> None:
-        rec.stream_seen += 1
-        if self.slice_instructions is not None:
-            si = pos // self.slice_instructions
-            rec.slice_mis[si] = rec.slice_mis.get(si, 0) + 1
-        if (rec.stream_seen - 1) % self.sample:
-            return
-        if len(rec.stream) < self.stream_cap:
-            rec.stream.append(pos)
-        else:
-            rec.dropped += 1
+            rec.execs += 1
+            if attr is not None:
+                provider, used_alt, loop_used, sc_flipped = attr
+                key = _provider_key(provider, used_alt)
+                rec.providers[key] = rec.providers.get(key, 0) + 1
+                if loop_used:
+                    rec.loop_used += 1
+                if sc_flipped:
+                    rec.sc_flipped += 1
+            if ok:
+                continue
+            rec.mis += 1
+            if self.slice_instructions is not None:
+                si = p // self.slice_instructions
+                rec.slice_mis[si] = rec.slice_mis.get(si, 0) + 1
+            if (rec.mis - 1) % self.sample:
+                continue
+            if len(rec.stream) < self.stream_cap:
+                rec.stream.append(p)
+            else:
+                rec.dropped += 1
 
     def finish(self, predictor=None) -> Dict[str, Any]:
         """Build the report (pulling allocation stats off the predictor if
@@ -273,13 +249,6 @@ class BranchIntrospector:
         report.update(_CONTEXT)
         _REPORTS.append(report)
         return report
-
-
-def begin(
-    predictor_name: str, slice_instructions: Optional[int], path: str
-) -> BranchIntrospector:
-    """Open a recorder for one simulation (caller checked :func:`is_enabled`)."""
-    return BranchIntrospector(predictor_name, slice_instructions, path)
 
 
 def write_introspect_json(path) -> Path:

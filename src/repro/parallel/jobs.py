@@ -18,7 +18,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import monotonic
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 #: Traces retained per worker process (override: ``REPRO_WORKER_TRACE_CACHE``).
 TRACE_CACHE_CAP = max(1, int(os.environ.get("REPRO_WORKER_TRACE_CACHE", "4") or 4))
@@ -238,8 +238,6 @@ def run_sim_job(job: SimJob, fault: Optional[Any] = None):
     decision (crash/raise/delay) applied before the simulation starts.
     """
     from repro import obs
-    from repro.experiments.lab import PREDICTOR_FACTORIES
-    from repro.pipeline.simulator import simulate_trace, simulate_trace_batch
 
     t_start = monotonic()
     if _worker_obs_enabled:
@@ -249,17 +247,7 @@ def run_sim_job(job: SimJob, fault: Optional[Any] = None):
 
         apply_worker_fault(fault)
     trace = _worker_trace(job.workload, job.input_index, job.instructions)
-    if isinstance(job, BatchSimJob):
-        result = simulate_trace_batch(
-            trace.trace,
-            [PREDICTOR_FACTORIES[p]() for p in job.predictors],
-            slice_instructions=job.slice_instructions,
-        )
-    else:
-        predictor = PREDICTOR_FACTORIES[job.predictor]()
-        result = simulate_trace(
-            trace.trace, predictor, slice_instructions=job.slice_instructions
-        )
+    result = _simulate_job(job, trace.trace)
     metrics = obs.registry().snapshot_for_merge() if _worker_obs_enabled else None
     return job, result, WorkerReport(
         t_start=t_start, t_end=monotonic(), metrics=metrics, pid=os.getpid()
@@ -276,8 +264,7 @@ def run_job_inline(job: SimJob, trace_store_dir: Optional[str] = None):
     when one is configured; simulation is deterministic, so the result is
     bit-identical to what a healthy worker would have produced.
     """
-    from repro.experiments.lab import PREDICTOR_FACTORIES, workload_spec
-    from repro.pipeline.simulator import simulate_trace, simulate_trace_batch
+    from repro.experiments.lab import workload_spec
     from repro.workloads import trace_workload
 
     trace_cols = None
@@ -294,14 +281,19 @@ def run_job_inline(job: SimJob, trace_store_dir: Optional[str] = None):
         trace_cols = generated.trace
         if store is not None:
             store.store(job.workload, job.input_index, job.instructions, trace_cols)
-    if isinstance(job, BatchSimJob):
-        return simulate_trace_batch(
-            trace_cols,
-            [PREDICTOR_FACTORIES[p]() for p in job.predictors],
-            slice_instructions=job.slice_instructions,
-        )
-    return simulate_trace(
-        trace_cols,
-        PREDICTOR_FACTORIES[job.predictor](),
+    return _simulate_job(job, trace_cols)
+
+
+def _simulate_job(job: Union[SimJob, BatchSimJob], trace: Any) -> Any:
+    """Simulate ``job`` over its trace: one result for a :class:`SimJob`, a
+    list of them (in predictor order) for a :class:`BatchSimJob`."""
+    from repro.experiments.lab import PREDICTOR_FACTORIES
+    from repro.pipeline.simulator import simulate_trace_batch
+
+    names = job.predictors if isinstance(job, BatchSimJob) else (job.predictor,)
+    results = simulate_trace_batch(
+        trace,
+        [PREDICTOR_FACTORIES[name]() for name in names],
         slice_instructions=job.slice_instructions,
     )
+    return results if isinstance(job, BatchSimJob) else results[0]

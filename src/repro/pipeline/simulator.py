@@ -6,6 +6,15 @@ accumulates per-static-branch statistics — in aggregate and per
 fixed-instruction-length slice, matching the paper's methodology of
 collecting statistics "across all 30M-instruction slices of each workload
 trace".
+
+Simulation is one path: a *backend* drives the predictor over the trace and
+yields its predicted direction for every conditional branch, and
+:func:`~repro.kernels.engine.score_predictions` alone scores that vector.
+The backends are the predictor's numpy kernel, the batched TAGE-SC-L replay
+(:mod:`repro.kernels.batched`; a batch of one for single configurations),
+and the drive-only scalar loop (every other predictor, or everything under
+``REPRO_KERNELS=0``).  All three leave the predictor in the same final
+state, so results are bit-identical whichever one runs.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +30,9 @@ from repro import obs
 from repro.core.metrics import BranchStats
 from repro.core.types import BranchKind, BranchTrace
 from repro.kernels import kernels_enabled
-from repro.kernels.engine import TraceKernel, score_predictions, score_with_kernel
+from repro.kernels.engine import Attribution, Predictions, run_kernel, score_predictions
+# Re-exported: the kernel adapter, which only delegates to score_predictions.
+from repro.kernels.engine import score_with_kernel  # noqa: F401
 from repro.obs import introspect
 from repro.predictors.base import BranchPredictor
 
@@ -75,481 +86,172 @@ def simulate_trace(
 
     The predictor is *not* reset; callers own lifecycle (this allows
     deliberate cross-slice training, as on real hardware).
+    """
+    return simulate_trace_batch(
+        trace, [predictor], slice_instructions, record_mispredict_positions, warmup_branches
+    )[0]
 
-    When the predictor advertises a :meth:`~repro.predictors.base.
-    BranchPredictor.vectorized_kernel` (and ``REPRO_KERNELS`` is not
-    disabled), the trace is scored through the numpy kernel path instead of
-    the per-branch loop.  A :func:`~repro.kernels.batched.batchable`
-    predictor (TAGE / TAGE-SC-L) without a kernel dispatches through the
-    multi-config replay engine as a batch of one, reusing the trace's
-    memoized feature streams.  Results are bit-identical on every path.
+
+def simulate_trace_batch(
+    trace: BranchTrace,
+    predictors: Sequence[BranchPredictor],
+    slice_instructions: Optional[int] = None,
+    record_mispredict_positions: bool = False,
+    warmup_branches: int = 0,
+) -> List[SimulationResult]:
+    """Simulate several predictors over one trace (arguments as
+    :func:`simulate_trace`); one result per predictor, in order.
+
+    When kernels are enabled and every predictor is a batchable TAGE-SC-L
+    configuration (see :func:`repro.kernels.batched.batchable`), one replay
+    pass reconstructs the trace's history/feature streams once and replays
+    all of them — the fig. 7/8 shape, where the same workload is scored at
+    every storage budget.  Otherwise each predictor runs on its own.
     """
     if slice_instructions is not None and slice_instructions <= 0:
         raise ValueError("slice_instructions must be positive")
+    from repro.kernels.batched import batchable
 
-    # One introspection check per call: the disabled hot loops below stay
-    # exactly as they are; enabling routes through dedicated paths that
-    # observe without changing any simulated outcome.
-    introspecting = introspect.is_enabled()
-
-    if kernels_enabled():
-        kernel = predictor.vectorized_kernel()
-        if kernel is not None:
-            return _simulate_with_kernel(
-                trace,
-                predictor,
-                kernel,
-                slice_instructions,
-                record_mispredict_positions,
-                warmup_branches,
-                introspecting,
-            )
-        from repro.kernels.batched import batchable
-
-        if batchable(predictor):
-            # Batch of one: same replay engine as the fig. 7/8 sweeps; the
-            # precomputed feature streams are shared through the trace's
-            # plan cache, so single-config TAGE-SC-L runs (table1, fig1,
-            # h2p, introspect) skip the scalar loop entirely.
-            return simulate_trace_batch(
-                trace,
-                [predictor],
-                slice_instructions=slice_instructions,
-                record_mispredict_positions=record_mispredict_positions,
-                warmup_branches=warmup_branches,
-            )[0]
-    if introspecting:
-        return _simulate_scalar_introspect(
-            trace,
-            predictor,
-            slice_instructions,
-            record_mispredict_positions,
-            warmup_branches,
-        )
-
-    stats = BranchStats()
-    slice_list: Optional[List[BranchStats]] = None
-    cur_slice: Optional[BranchStats] = None
-    next_boundary = None
-    if slice_instructions is not None:
-        slice_list = []
-        cur_slice = BranchStats()
-        next_boundary = slice_instructions
-
-    mis_positions: Optional[List[int]] = [] if record_mispredict_positions else None
-
-    # Observability: one enabled-check up front; per-branch work stays
-    # uninstrumented (counters are published in bulk after the loop) and the
-    # slice-boundary heartbeat only fires on the already-rare boundary path.
-    heartbeat = _log.isEnabledFor(logging.INFO) and slice_instructions is not None
-    t_start = perf_counter()
-
-    # Decoded once per trace (and memoized on it): list indexing beats
-    # ndarray indexing in the loop, and ``taken`` arrives as Python bools.
-    ips, taken_arr, targets, kinds, instr_idx = trace.columns_as_lists()
-
-    set_outcome = getattr(predictor, "set_outcome", None)
-    predict = predictor.predict
-    update = predictor.update
-    note = predictor.note_branch
-    stats_record = stats.record
-    cur_slice_record = cur_slice.record if cur_slice is not None else None
-    # An infinite boundary keeps the per-branch test a plain comparison when
-    # slicing is off (the while body is unreachable then).
-    boundary = next_boundary if next_boundary is not None else float("inf")
-    seen_cond = 0
-
-    # The loop body exists twice, specialized on whether the predictor wants
-    # the resolved outcome before predict() (only the oracle family does);
-    # the common case pays no per-branch set_outcome check.  Keep the two
-    # bodies in sync.
-    if set_outcome is None:
-        for i in range(len(ips)):
-            kind = kinds[i]
-            ip = ips[i]
-            taken = taken_arr[i]
-            pos = instr_idx[i]
-
-            while pos >= boundary:
-                if heartbeat:
-                    _log.info(
-                        "%s: slice %d done (%d instructions, %d branches, "
-                        "acc so far %.4f)",
-                        predictor.name,
-                        len(slice_list),
-                        boundary,
-                        i,
-                        stats.accuracy,
-                    )
-                slice_list.append(cur_slice)
-                cur_slice = BranchStats()
-                cur_slice_record = cur_slice.record
-                boundary += slice_instructions
-
-            if kind != _COND:
-                note(ip, targets[i], _KINDS[kind], taken)
-                continue
-
-            pred = predict(ip)
-            update(ip, taken)
-            seen_cond += 1
-            if seen_cond <= warmup_branches:
-                continue
-            correct = pred == taken
-            stats_record(ip, correct)
-            if cur_slice_record is not None:
-                cur_slice_record(ip, correct)
-            if not correct and mis_positions is not None:
-                mis_positions.append(pos)
+    use_kernels = kernels_enabled()
+    if use_kernels and predictors and all(batchable(p) for p in predictors):
+        groups = [list(predictors)]
     else:
-        for i in range(len(ips)):
-            kind = kinds[i]
-            ip = ips[i]
-            taken = taken_arr[i]
-            pos = instr_idx[i]
-
-            while pos >= boundary:
-                if heartbeat:
-                    _log.info(
-                        "%s: slice %d done (%d instructions, %d branches, "
-                        "acc so far %.4f)",
-                        predictor.name,
-                        len(slice_list),
-                        boundary,
-                        i,
-                        stats.accuracy,
-                    )
-                slice_list.append(cur_slice)
-                cur_slice = BranchStats()
-                cur_slice_record = cur_slice.record
-                boundary += slice_instructions
-
-            if kind != _COND:
-                note(ip, targets[i], _KINDS[kind], taken)
-                continue
-
-            set_outcome(taken)
-            pred = predict(ip)
-            update(ip, taken)
-            seen_cond += 1
-            if seen_cond <= warmup_branches:
-                continue
-            correct = pred == taken
-            stats_record(ip, correct)
-            if cur_slice_record is not None:
-                cur_slice_record(ip, correct)
-            if not correct and mis_positions is not None:
-                mis_positions.append(pos)
-
-    if slice_list is not None and (len(cur_slice) or not slice_list):
-        slice_list.append(cur_slice)
-
-    elapsed = perf_counter() - t_start
-    if obs.is_enabled():
-        obs.observe_timer("sim.trace", elapsed)
-        obs.observe_timer(f"sim.predictor.{predictor.name}", elapsed)
-        obs.counter("sim.branches", len(ips))
-        obs.counter("sim.cond_branches", seen_cond)
-        obs.counter("sim.instructions", trace.instr_count)
-        obs.counter("sim.mispredictions", stats.total_mispredictions)
-        obs.counter("kernels.fallback_scalar", seen_cond)
-        obs.counter(f"kernels.fallback_scalar.{predictor.name}", seen_cond)
-        if elapsed > 0:
-            obs.gauge("sim.branches_per_sec", len(ips) / elapsed)
-        publish = getattr(predictor, "publish_obs_counters", None)
-        if publish is not None:
-            publish()
-    if _log.isEnabledFor(logging.INFO):
-        _log.info(
-            "%s: %d branches in %s (%s), accuracy %.4f, mpki %.2f",
-            predictor.name,
-            len(ips),
-            obs.format_duration(elapsed),
-            obs.format_rate(len(ips), elapsed, "/s"),
-            stats.accuracy,
-            stats.mpki(trace.instr_count),
-        )
-
-    return SimulationResult(
-        predictor_name=predictor.name,
-        stats=stats,
-        instr_count=trace.instr_count,
-        slice_stats=slice_list,
-        mispredict_positions=(
-            np.asarray(mis_positions, dtype=np.int64) if mis_positions is not None else None
-        ),
-    )
+        groups = [[p] for p in predictors]
+    introspecting = introspect.is_enabled()
+    results: List[SimulationResult] = []
+    for group in groups:
+        t_start = perf_counter()
+        path, drives = _drive(trace, group, use_kernels, introspecting)
+        scored = []
+        for predictor, (preds, _) in zip(group, drives):
+            stats, slices, positions = score_predictions(
+                trace, preds, slice_instructions, record_mispredict_positions, warmup_branches
+            )
+            scored.append(
+                SimulationResult(predictor.name, stats, trace.instr_count, slices, positions)
+            )
+        elapsed = perf_counter() - t_start
+        if introspecting:
+            _introspect(trace, group, drives, path, slice_instructions, warmup_branches)
+        _publish(trace, group, scored, path, elapsed)
+        results.extend(scored)
+    return results
 
 
-def _simulate_scalar_introspect(
+def _drive(
     trace: BranchTrace,
-    predictor: BranchPredictor,
-    slice_instructions: Optional[int],
-    record_mispredict_positions: bool,
-    warmup_branches: int,
-) -> SimulationResult:
-    """Scalar loop with per-branch introspection recording.
+    group: List[BranchPredictor],
+    use_kernels: bool,
+    introspecting: bool,
+) -> Tuple[str, List[Predictions]]:
+    """Run the backend for ``group``: ``(path name, Predictions per member)``.
 
-    A separate (generic, unspecialized) loop so the normal scalar paths pay
-    nothing for introspection.  Every accumulation feeding the returned
-    :class:`SimulationResult` matches the plain loops exactly — the channel
-    only *observes* — so results stay bit-identical with telemetry on.
+    A group of more than one predictor is always a batchable batch.
     """
-    stats = BranchStats()
-    slice_list: Optional[List[BranchStats]] = None
-    cur_slice: Optional[BranchStats] = None
-    if slice_instructions is not None:
-        slice_list = []
-        cur_slice = BranchStats()
-    mis_positions: Optional[List[int]] = [] if record_mispredict_positions else None
+    if use_kernels:
+        from repro.kernels.batched import batchable, replay_tagescl_batch
 
-    chan = introspect.begin(predictor.name, slice_instructions, path="scalar")
-    t_start = perf_counter()
+        if all(batchable(p) for p in group):
+            return "batched", replay_tagescl_batch(
+                trace, group, collect_introspection=introspecting
+            )
+        kernel = group[0].vectorized_kernel()
+        if kernel is not None:
+            return "kernel", [(run_kernel(trace, kernel), None)]
+    return "scalar", [_drive_scalar(trace, group[0], introspecting)]
 
-    ips, taken_arr, targets, kinds, instr_idx = trace.columns_as_lists()
 
+def _drive_scalar(
+    trace: BranchTrace, predictor: BranchPredictor, introspecting: bool
+) -> Predictions:
+    """Feed every record to ``predictor`` in order and collect its
+    predictions: conditionals go through ``set_outcome`` (oracles only),
+    ``predict`` and ``update``, every other kind through ``note_branch``."""
     set_outcome = getattr(predictor, "set_outcome", None)
     introspect_last = getattr(predictor, "introspect_last", None)
     predict = predictor.predict
     update = predictor.update
     note = predictor.note_branch
-    stats_record = stats.record
-    cur_slice_record = cur_slice.record if cur_slice is not None else None
-    record = chan.record
-    boundary = slice_instructions if slice_instructions is not None else float("inf")
-    seen_cond = 0
-
-    for i in range(len(ips)):
-        kind = kinds[i]
-        ip = ips[i]
-        taken = taken_arr[i]
-        pos = instr_idx[i]
-
-        while pos >= boundary:
-            slice_list.append(cur_slice)
-            cur_slice = BranchStats()
-            cur_slice_record = cur_slice.record
-            boundary += slice_instructions
-
+    preds: List[bool] = []
+    append = preds.append
+    attrs: Optional[List[Optional[Attribution]]] = [] if introspecting else None
+    # Iterating decoded lists beats ndarray access; ``taken`` as Python bools.
+    columns = (trace.ips, trace.taken.astype(bool), trace.targets, trace.kinds)
+    for ip, taken, target, kind in zip(*(c.tolist() for c in columns)):
         if kind != _COND:
-            note(ip, targets[i], _KINDS[kind], taken)
+            note(ip, target, _KINDS[kind], taken)
             continue
-
         if set_outcome is not None:
             set_outcome(taken)
-        pred = predict(ip)
-        attr = introspect_last() if introspect_last is not None else None
+        append(predict(ip))
+        if attrs is not None:
+            attrs.append(introspect_last() if introspect_last is not None else None)
         update(ip, taken)
-        seen_cond += 1
-        if seen_cond <= warmup_branches:
-            continue
-        correct = pred == taken
-        stats_record(ip, correct)
-        if cur_slice_record is not None:
-            cur_slice_record(ip, correct)
-        if not correct and mis_positions is not None:
-            mis_positions.append(pos)
-        record(ip, pos, correct, attr)
-
-    if slice_list is not None and (len(cur_slice) or not slice_list):
-        slice_list.append(cur_slice)
-
-    elapsed = perf_counter() - t_start
-    chan.finish(predictor)
-    if obs.is_enabled():
-        obs.observe_timer("sim.trace", elapsed)
-        obs.observe_timer(f"sim.predictor.{predictor.name}", elapsed)
-        obs.counter("sim.branches", len(ips))
-        obs.counter("sim.cond_branches", seen_cond)
-        obs.counter("sim.instructions", trace.instr_count)
-        obs.counter("sim.mispredictions", stats.total_mispredictions)
-        obs.counter("kernels.fallback_scalar", seen_cond)
-        obs.counter(f"kernels.fallback_scalar.{predictor.name}", seen_cond)
-        if elapsed > 0:
-            obs.gauge("sim.branches_per_sec", len(ips) / elapsed)
-        publish = getattr(predictor, "publish_obs_counters", None)
-        if publish is not None:
-            publish()
-
-    return SimulationResult(
-        predictor_name=predictor.name,
-        stats=stats,
-        instr_count=trace.instr_count,
-        slice_stats=slice_list,
-        mispredict_positions=(
-            np.asarray(mis_positions, dtype=np.int64) if mis_positions is not None else None
-        ),
-    )
+    return np.array(preds, dtype=bool), attrs
 
 
-def _simulate_with_kernel(
+def _introspect(
     trace: BranchTrace,
-    predictor: BranchPredictor,
-    kernel: TraceKernel,
+    group: List[BranchPredictor],
+    drives: List[Predictions],
+    path: str,
     slice_instructions: Optional[int],
-    record_mispredict_positions: bool,
     warmup_branches: int,
-    introspecting: bool = False,
-) -> SimulationResult:
-    """Score ``predictor``'s vectorized kernel over ``trace``.
-
-    Publishes the same observability surface as the scalar loop (plus the
-    ``kernels.branches`` counter) and returns a bit-identical result.
-    """
-    t_start = perf_counter()
-    score = score_with_kernel(
-        trace,
-        kernel,
-        slice_instructions=slice_instructions,
-        record_mispredict_positions=record_mispredict_positions,
-        warmup_branches=warmup_branches,
-        collect_introspection=introspecting,
-    )
-    elapsed = perf_counter() - t_start
-    if introspecting:
-        chan = introspect.begin(predictor.name, slice_instructions, path="kernel")
-        chan.record_kernel(score.stats, score.intro_mis_ips, score.intro_mis_pos)
+) -> None:
+    """Record one introspection report per member from its scored stream."""
+    ips_c, taken_c, pos_c = trace.conditional_columns()
+    w = max(0, warmup_branches)
+    ips_w, pos_w = ips_c[w:].tolist(), pos_c[w:].tolist()
+    for predictor, (preds, attrs) in zip(group, drives):
+        chan = introspect.BranchIntrospector(predictor.name, slice_instructions, path)
+        correct = (preds[w:] == taken_c[w:]).tolist()
+        chan.record_stream(ips_w, pos_w, correct, attrs[w:] if attrs is not None else None)
         chan.finish(predictor)
 
-    if obs.is_enabled():
-        obs.observe_timer("sim.trace", elapsed)
-        obs.observe_timer(f"sim.predictor.{predictor.name}", elapsed)
-        obs.counter("sim.branches", len(trace))
-        obs.counter("sim.cond_branches", score.cond_branches)
-        obs.counter("sim.instructions", trace.instr_count)
-        obs.counter("sim.mispredictions", score.stats.total_mispredictions)
-        obs.counter("kernels.branches", score.cond_branches)
-        if elapsed > 0:
-            obs.gauge("sim.branches_per_sec", len(trace) / elapsed)
-        publish = getattr(predictor, "publish_obs_counters", None)
-        if publish is not None:
-            publish()
-    if _log.isEnabledFor(logging.INFO):
-        _log.info(
-            "%s: %d branches in %s (%s, vectorized), accuracy %.4f, mpki %.2f",
-            predictor.name,
-            len(trace),
-            obs.format_duration(elapsed),
-            obs.format_rate(len(trace), elapsed, "/s"),
-            score.stats.accuracy,
-            score.stats.mpki(trace.instr_count),
-        )
 
-    return SimulationResult(
-        predictor_name=predictor.name,
-        stats=score.stats,
-        instr_count=trace.instr_count,
-        slice_stats=score.slice_stats,
-        mispredict_positions=score.mispredict_positions,
-    )
-
-
-def simulate_trace_batch(
+def _publish(
     trace: BranchTrace,
-    predictors: List[BranchPredictor],
-    slice_instructions: Optional[int] = None,
-    record_mispredict_positions: bool = False,
-    warmup_branches: int = 0,
-) -> List[SimulationResult]:
-    """Simulate several predictors over one trace, sharing one replay pass.
+    group: List[BranchPredictor],
+    results: List[SimulationResult],
+    path: str,
+    elapsed: float,
+) -> None:
+    """Record one backend run's timers, counters and log line.
 
-    When every predictor is a batchable TAGE-SC-L configuration (see
-    :func:`repro.kernels.batched.batchable`) and kernels are enabled, the
-    multi-config replay reconstructs the trace's history/feature streams
-    once and replays all presets against them — the fig. 7/8 shape, where
-    the same workload is scored at every storage budget.  Results (and
-    each predictor's final state) are bit-identical to running
-    :func:`simulate_trace` per predictor; with ``REPRO_KERNELS=0`` or any
-    non-batchable predictor in the list, that is literally what happens.
+    ``elapsed`` is measured once for the whole group; a group of more than
+    one predictor reports it as ``sim.batch``, never as per-member time.
     """
-    if not predictors:
-        return []
-    from repro.kernels.batched import batchable, replay_tagescl_batch
-
-    if not kernels_enabled() or not all(batchable(p) for p in predictors):
-        return [
-            simulate_trace(
-                trace,
-                p,
-                slice_instructions=slice_instructions,
-                record_mispredict_positions=record_mispredict_positions,
-                warmup_branches=warmup_branches,
-            )
-            for p in predictors
-        ]
-
-    introspecting = introspect.is_enabled()
-    t_start = perf_counter()
-    replays = replay_tagescl_batch(
-        trace, predictors, collect_introspection=introspecting
-    )
-    results: List[SimulationResult] = []
-    for predictor, rep in zip(predictors, replays):
-        score = score_predictions(
-            trace,
-            rep.preds,
-            slice_instructions=slice_instructions,
-            record_mispredict_positions=record_mispredict_positions,
-            warmup_branches=warmup_branches,
-        )
-        results.append(
-            SimulationResult(
-                predictor_name=predictor.name,
-                stats=score.stats,
-                instr_count=trace.instr_count,
-                slice_stats=score.slice_stats,
-                mispredict_positions=score.mispredict_positions,
-            )
-        )
-    elapsed = perf_counter() - t_start
-
-    if introspecting:
-        # Mirror the scalar loop's per-branch attribution recording; the
-        # replay collected the ``introspect_last`` tuples in stream order.
-        ips_c, taken_c, pos_c = trace.conditional_columns()
-        w = max(0, warmup_branches)
-        ips_lw = ips_c[w:].tolist()
-        pos_lw = pos_c[w:].tolist()
-        for predictor, rep in zip(predictors, replays):
-            chan = introspect.begin(
-                predictor.name, slice_instructions, path="batched"
-            )
-            record = chan.record
-            correct_lw = (rep.preds[w:] == taken_c[w:]).tolist()
-            for ip, pos, correct, attr in zip(
-                ips_lw, pos_lw, correct_lw, rep.attrs[w:]
-            ):
-                record(ip, pos, correct, attr)
-            chan.finish(predictor)
-
     if obs.is_enabled():
+        cond = int(len(trace.conditional_columns()[0]))
         obs.observe_timer("sim.trace", elapsed)
-        per_pred = elapsed / len(predictors)
-        for predictor, res in zip(predictors, results):
-            obs.observe_timer(f"sim.predictor.{predictor.name}", per_pred)
-            cond = int(len(trace.conditional_columns()[0]))
+        if len(group) == 1:
+            obs.observe_timer(f"sim.predictor.{group[0].name}", elapsed)
+        else:
+            obs.observe_timer("sim.batch", elapsed)
+        for predictor, result in zip(group, results):
             obs.counter("sim.branches", len(trace))
             obs.counter("sim.cond_branches", cond)
             obs.counter("sim.instructions", trace.instr_count)
-            obs.counter("sim.mispredictions", res.stats.total_mispredictions)
-            obs.counter("kernels.branches", cond)
-            obs.counter("kernels.batched", cond)
+            obs.counter("sim.mispredictions", result.stats.total_mispredictions)
+            if path == "scalar":
+                obs.counter("kernels.fallback_scalar", cond)
+                obs.counter(f"kernels.fallback_scalar.{predictor.name}", cond)
+            else:
+                obs.counter("kernels.branches", cond)
+                if path == "batched":
+                    obs.counter("kernels.batched", cond)
             publish = getattr(predictor, "publish_obs_counters", None)
             if publish is not None:
                 publish()
         if elapsed > 0:
-            obs.gauge(
-                "sim.branches_per_sec", len(trace) * len(predictors) / elapsed
-            )
+            obs.gauge("sim.branches_per_sec", len(trace) * len(group) / elapsed)
     if _log.isEnabledFor(logging.INFO):
         _log.info(
-            "batched %d presets: %d branches in %s (%s), first %s acc %.4f",
-            len(predictors),
+            "%s: %d branches in %s (%s, %s path), accuracy %s",
+            ", ".join(p.name for p in group),
             len(trace),
             obs.format_duration(elapsed),
-            obs.format_rate(len(trace) * len(predictors), elapsed, "/s"),
-            results[0].predictor_name,
-            results[0].stats.accuracy,
+            obs.format_rate(len(trace) * len(group), elapsed, "/s"),
+            path,
+            ", ".join(f"{r.accuracy:.4f}" for r in results),
         )
-
-    return results

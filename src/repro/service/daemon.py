@@ -49,7 +49,7 @@ from repro.service import (
     ServiceError,
     simulation_digest,
 )
-from repro.service.protocol import dump_line, parse_line
+from repro.service.protocol import MAX_LINE_BYTES, dump_line, parse_line
 
 
 def _env_int(name: str, default: int) -> int:
@@ -112,6 +112,19 @@ class _Work:
     future: "asyncio.Future[Any]"
 
 
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Consume an over-limit request line through its newline (or EOF),
+    holding at most one stream limit of it in memory."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
+
 class LabService:
     """One Lab served over a socket.  See the module docstring."""
 
@@ -144,7 +157,10 @@ class LabService:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection,
+            self.config.host,
+            self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
@@ -160,9 +176,12 @@ class LabService:
         await self._stopped.wait()
 
     def request_shutdown(self) -> None:
-        """Thread-safe drain trigger (used by in-process harnesses)."""
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._begin_drain)
+        """Thread-safe drain trigger (used by in-process harnesses); a no-op
+        once the service has stopped, when its loop may be closed."""
+        if self._loop is not None and not self._stopped.is_set():
+            # A drain may still finish and close the loop after the check.
+            with contextlib.suppress(RuntimeError):
+                self._loop.call_soon_threadsafe(self._begin_drain)
 
     def _begin_drain(self) -> None:
         if self._draining:
@@ -202,9 +221,17 @@ class LabService:
         write_lock = asyncio.Lock()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: an unterminated last line, or b""
+                    if not line:
+                        break
+                except asyncio.LimitOverrunError:
+                    await _discard_line(reader)
+                    too_large = ServiceError(BAD_REQUEST, "request line too large")
+                    await self._send_error(writer, write_lock, None, too_large)
+                    continue
                 if not line.strip():
                     continue
                 await self._handle_line(line, writer, write_lock)

@@ -34,6 +34,8 @@ def parse_line(line: bytes) -> Tuple[Any, str, Dict[str, Any]]:
         message = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ServiceError(BAD_REQUEST, f"invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ServiceError(BAD_REQUEST, f"invalid UTF-8: {exc}") from None
     if not isinstance(message, dict):
         raise ServiceError(BAD_REQUEST, "request must be a JSON object")
     rid = message.get("id")

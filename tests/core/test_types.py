@@ -74,15 +74,6 @@ class TestBranchTrace:
         )
         assert t.num_conditional() == 2
 
-    def test_from_records_round_trip(self):
-        records = [
-            BranchRecord(ip=16 * i, taken=i % 2 == 0, target=4, instr_index=i)
-            for i in range(10)
-        ]
-        t = BranchTrace.from_records(records)
-        assert [r.ip for r in t] == [r.ip for r in records]
-        assert [r.taken for r in t] == [r.taken for r in records]
-
 
 class TestSlicing:
     def test_slices_cover_all_branches(self):

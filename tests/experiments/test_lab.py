@@ -65,12 +65,6 @@ class TestLab:
         assert r2.mispredictions == r1.mispredictions
         assert len(list(tmp_path.iterdir())) >= 1
 
-    def test_aggregate_stats_separates_workloads(self, lab):
-        pooled, instructions = lab.aggregate_stats(["605.mcf_s"])
-        single = lab.simulate("605.mcf_s", 0, "tage-sc-l-8kb")
-        assert instructions >= single.instr_count
-        assert pooled.total_executions >= single.stats.total_executions
-
 
 class TestReporting:
     def test_format_cell(self):

@@ -19,6 +19,7 @@ from repro.service import (
 )
 from repro.service.client import ServiceClient
 from repro.service.daemon import ServiceConfig, ServiceThread
+from repro.service.protocol import MAX_LINE_BYTES
 
 TIER = ExperimentTier(name="svctest", spec_inputs=1, spec_slices=1, lcf_slices=1)
 INSTR = 20_000
@@ -103,13 +104,27 @@ class TestProtocol:
                 assert excinfo.value.code == BAD_REQUEST
 
     def test_malformed_json_gets_error_response(self, daemon):
+        bad_lines = (
+            b"this is not json\n",
+            # Above the stream reader's default 64 KiB line limit.
+            b"x" * (100 * 1024) + b"\n",
+            # Above the protocol's line bound: dropped through its newline.
+            b"y" * (MAX_LINE_BYTES + 4096) + b"\n",
+            b'{"id": 1, "method": "\xff\xfe"}\n',  # invalid UTF-8
+        )
         host, port = daemon.address
         with socket.create_connection((host, port), timeout=30) as sock:
-            sock.sendall(b"this is not json\n")
-            line = sock.makefile("rb").readline()
-        message = json.loads(line)
-        assert message["ok"] is False
-        assert message["error"]["code"] == BAD_REQUEST
+            replies = sock.makefile("rb")
+            for bad in bad_lines:
+                sock.sendall(bad)
+                message = json.loads(replies.readline())
+                assert message["ok"] is False, bad[:16]
+                assert message["error"]["code"] == BAD_REQUEST, bad[:16]
+            # The connection keeps serving after every rejected line.
+            sock.sendall(b'{"id": 2, "method": "ping"}\n')
+            message = json.loads(replies.readline())
+        assert message["ok"] is True
+        assert message["id"] == 2
 
     def test_metrics_method(self, daemon, obs_enabled):
         with ServiceClient.connect(daemon.address) as client:
@@ -247,6 +262,8 @@ class TestDrain:
             rid = client.submit("simulate", _params("bimodal"))
             assert client.call("shutdown")["draining"] is True
             assert client.result(rid)["predictor"] == "bimodal"
+        # The drain stops the loop on its own; stop() after that is a no-op.
+        service_thread._thread.join(timeout=30)
         service_thread.stop()
         lab.close()
         assert service_thread.service._stopped.is_set()
