@@ -16,11 +16,11 @@ Usage::
 ``--jobs/-j N`` (or ``REPRO_JOBS``) fans the simulations of each
 experiment out across N worker processes; results are bit-identical to
 the default serial run (see ``docs/performance.md``).  With a cache
-directory configured, ``--resume`` checkpoints completed simulations so
-an interrupted sweep can be rerun and only the missing work is
-re-dispatched (see ``docs/resilience.md``)::
+directory configured, every finished simulation is published to disk, so
+an interrupted sweep rerun on the same directory dispatches only the
+missing work (see ``docs/resilience.md``)::
 
-    REPRO_CACHE_DIR=cache python examples/reproduce_paper.py --jobs 8 --resume
+    REPRO_CACHE_DIR=cache python examples/reproduce_paper.py --jobs 8
 """
 
 import sys

@@ -12,7 +12,6 @@ affects simulation outcomes.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import hashlib
 import os
 import pickle
@@ -22,11 +21,12 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -46,7 +46,7 @@ from repro.parallel.jobs import BatchSimJob, SimJob
 from repro.parallel.scheduler import ParallelScheduler, resolve_jobs
 from repro.pipeline.simulator import (
     SimulationResult,
-    simulate_trace,
+    simulate_trace,  # noqa: F401  (a lab-module name that profiling shims wrap)
     simulate_trace_batch,
 )
 from repro.predictors.base import BranchPredictor
@@ -55,7 +55,6 @@ from repro.predictors.perceptron import PathPerceptron, Perceptron
 from repro.predictors.simple import Bimodal, GShare, TwoLevelLocal
 from repro.predictors.tagescl import STORAGE_PRESETS_KIB, make_tage_sc_l
 from repro.resilience import faults
-from repro.resilience.manifest import ResumeManifest
 from repro.resilience.quarantine import quarantine_file
 from repro.phases import cluster_phases, prepare_bbvs
 from repro.workloads import (
@@ -86,14 +85,6 @@ def _slug(part: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", part)
 
 _log = obs.get_logger("lab")
-
-#: The experiment label for checkpoint-manifest records.  A context
-#: variable — not Lab instance state — so concurrent daemon requests
-#: (threads, asyncio tasks) each see their own label instead of
-#: mislabeling each other's records and spans.
-_CURRENT_EXPERIMENT: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
-    "repro_lab_experiment", default=None
-)
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -171,6 +162,40 @@ PREDICTOR_FACTORIES["path-perceptron"] = PathPerceptron
 PREDICTOR_FACTORIES["o-gehl"] = OGehl
 
 
+def _check_predictor(label: str) -> None:
+    if label not in PREDICTOR_FACTORIES:
+        raise KeyError(
+            f"unknown predictor {label!r}; register a factory in PREDICTOR_FACTORIES"
+        )
+
+
+class _Kind(NamedTuple):
+    """How one kind of cached value is counted and persisted."""
+
+    memory_hit: str  # counter: served from the memory LRU
+    disk_hit: str  # counter: served from disk ("" when not counted here)
+    disk_store: str  # counter: published to disk ("" when not counted here)
+    filename: Optional[str]  # disk-cache filename kind (None: the trace store)
+    payload: type  # type of the cached value
+
+
+#: The cached kinds, keyed by their memory cache's ``kind``.  The trace
+#: store counts its own hits and stores (``lab.trace_store.*``); computing
+#: a value is counted by its caller (``lab.trace.build``,
+#: ``lab.sim.cache_miss``, ``lab.phases.cache_miss``).
+_KINDS: Dict[str, _Kind] = {
+    "traces": _Kind("lab.trace.cache_hit", "", "", None, WorkloadTrace),
+    "sims": _Kind(
+        "lab.sim.cache_hit.memory", "lab.sim.cache_hit.disk", "lab.sim.cache_store",
+        "sim", SimulationResult,
+    ),
+    "phases": _Kind(
+        "lab.phases.cache_hit.memory", "lab.phases.cache_hit.disk",
+        "lab.phases.cache_store", "phases", int,
+    ),
+}
+
+
 def workload_spec(name: str) -> WorkloadSpec:
     """Resolve a workload name through the registries (raises KeyError)."""
     if name == HELPER_STUDY_WORKLOAD.name:
@@ -189,7 +214,9 @@ class Lab:
     default) keeps the exact serial behavior.  Labs sharing a
     ``cache_dir`` — including concurrent processes — coexist safely: disk
     writes are atomic (tempfile + rename) and corrupt or stale entries
-    are ignored and recomputed.
+    are ignored and recomputed.  A run killed part-way loses nothing it
+    published: rerunning on the same ``cache_dir`` plans every finished
+    simulation away and computes only the rest.
 
     One Lab is also safe to share across *threads* (the ``repro.service``
     daemon keeps a single long-lived instance warm): the in-memory caches
@@ -198,8 +225,9 @@ class Lab:
     exactly once (the rest wait, counted by ``lab.singleflight.wait``).
     The caches are LRU-bounded (``REPRO_LAB_TRACE_CACHE`` /
     ``REPRO_LAB_SIM_CACHE``; evictions count under ``lab.mem.evicted``) so
-    a long-lived process does not grow without limit.  Serial behavior is
-    bit-identical to previous releases.
+    a long-lived process does not grow without limit.  Every cached value
+    — trace, simulation, phase count, prefetched job result — goes through
+    one path, :meth:`_cached`.
     """
 
     def __init__(
@@ -207,7 +235,6 @@ class Lab:
         tier: Optional[ExperimentTier] = None,
         cache_dir: Optional[str] = None,
         jobs: Optional[int] = None,
-        resume: Optional[bool] = None,
     ) -> None:
         self.tier = tier or active_tier()
         env_dir = os.environ.get("REPRO_CACHE_DIR")
@@ -237,60 +264,14 @@ class Lab:
         self._phase_counts: _LruCache[int] = _LruCache(
             _env_cap("REPRO_LAB_SIM_CACHE", DEFAULT_SIM_CACHE_CAP), "phases"
         )
-        # Checkpoint/resume: completed requests are recorded in an
-        # append-only manifest so an interrupted sweep restarted with
-        # --resume re-dispatches only the missing work.
-        if resume is None:
-            resume = os.environ.get("REPRO_RESUME", "") not in ("", "0", "false")
-        self.manifest: Optional[ResumeManifest] = None
-        if resume:
-            if self.cache_dir is None:
-                _log.warning(
-                    "resume requested without a cache directory; ignoring "
-                    "(set --cache-dir or REPRO_CACHE_DIR)"
-                )
-            else:
-                self.manifest = ResumeManifest(
-                    ResumeManifest.default_path(self.cache_dir), CACHE_VERSION
-                )
-                self.manifest.load()
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release the worker pool and manifest, if open (idempotent)."""
+        """Release the worker pool, if open (idempotent)."""
         if self._scheduler is not None:
             self._scheduler.close()
             self._scheduler = None
-        if self.manifest is not None:
-            self.manifest.close()
-
-    @contextlib.contextmanager
-    def experiment(self, name: Optional[str]) -> Iterator[None]:
-        """Label checkpoint records made inside the block with ``name``.
-
-        The label lives in a :mod:`contextvars` variable, not instance
-        state, so concurrent requests (daemon threads / asyncio tasks)
-        each carry their own label instead of overwriting a shared field.
-        """
-        token = _CURRENT_EXPERIMENT.set(name)
-        try:
-            yield
-        finally:
-            _CURRENT_EXPERIMENT.reset(token)
-
-    def begin_experiment(self, name: Optional[str]) -> None:
-        """Label subsequent checkpoint records with the running experiment.
-
-        Imperative variant of :meth:`experiment` for call sites without a
-        natural ``with`` block; the label is still context-local.
-        """
-        _CURRENT_EXPERIMENT.set(name)
-
-    @staticmethod
-    def current_experiment() -> Optional[str]:
-        """The experiment label active in this context (or ``None``)."""
-        return _CURRENT_EXPERIMENT.get()
 
     def __enter__(self) -> "Lab":
         return self
@@ -298,7 +279,7 @@ class Lab:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- single-flight -----------------------------------------------------
+    # -- the cached-compute path -------------------------------------------
 
     def _join_flight(self, flight_key: Tuple) -> Optional[threading.Event]:
         """Become the leader for ``flight_key`` (returns ``None``) or get
@@ -320,6 +301,69 @@ class Lab:
             event = self._inflight.pop(flight_key, None)
         if event is not None:
             event.set()
+
+    def _cached(
+        self,
+        cache: "_LruCache",
+        keys: Sequence[Tuple],
+        compute: Optional[Callable[[List[Tuple]], List]],
+    ) -> Dict[Tuple, Any]:
+        """Resolve ``keys`` through memory, single-flight, disk and compute.
+
+        Each key is served from ``cache`` (the memory LRU) or else led by
+        this call: loaded from disk, or — when that misses too — computed
+        by ``compute``, which gets the led misses (in order) and returns
+        their values.  Computed values land in memory and on disk.  Keys
+        another caller is resolving are deferred: this call first finishes
+        and releases every flight it leads, then waits on the deferred
+        keys and loops, taking over any key whose leader failed (a failure
+        publishes nothing, so errors are never cached).  With ``compute``
+        ``None`` this only looks up; misses are absent from the result.
+        """
+        spec = _KINDS[cache.kind]
+        found: Dict[Tuple, Any] = {}
+        pending = list(dict.fromkeys(keys))
+        while pending:
+            led: List[Tuple] = []
+            waits: List[Tuple[Tuple, threading.Event]] = []
+            with self._lock:
+                for key in pending:
+                    value = cache.get(key)
+                    if value is not None:
+                        obs.counter(spec.memory_hit)
+                        found[key] = value
+                        continue
+                    event = self._join_flight((cache.kind, *key))
+                    if event is None:
+                        led.append(key)
+                    else:
+                        waits.append((key, event))
+            try:
+                missing = []
+                for key in led:
+                    value = self._disk_get(cache.kind, key)
+                    if value is None:
+                        missing.append(key)
+                        continue
+                    if spec.disk_hit:
+                        obs.counter(spec.disk_hit)
+                    with self._lock:
+                        cache[key] = value
+                    found[key] = value
+                if missing and compute is not None:
+                    for key, value in zip(missing, compute(missing)):
+                        with self._lock:
+                            cache[key] = value
+                        found[key] = value
+                        self._disk_put(cache.kind, key, value)
+            finally:
+                for key in led:
+                    self._leave_flight((cache.kind, *key))
+            for _, event in waits:
+                obs.counter("lab.singleflight.wait")
+                event.wait()
+            pending = [key for key, _ in waits]
+        return found
 
     # -- trace access ------------------------------------------------------
 
@@ -344,59 +388,14 @@ class Lab:
     ) -> WorkloadTrace:
         n = instructions if instructions is not None else self.instructions_for(name)
         key = (name, input_index, n)
-        flight_key = ("trace", *key)
-        while True:
-            with self._lock:
-                cached = self._traces.get(key)
-                if cached is not None:
-                    obs.counter("lab.trace.cache_hit")
-                    return cached
-                event = self._join_flight(flight_key)
-            if event is None:
-                break
-            obs.counter("lab.singleflight.wait")
-            event.wait()
-        try:
-            spec = workload_spec(name)
-            stored = (
-                self.trace_store.load(name, input_index, n)
-                if self.trace_store is not None
-                else None
-            )
-            if stored is not None:
-                _log.info(
-                    "loaded trace %s/input%d (%d instructions) from trace store",
-                    name, input_index, n,
-                )
-                # The program is rebuilt (cheap, no execution) so consumers
-                # of ``metadata["program"]`` — e.g. the CNN study's static
-                # analysis — work identically on store hits.
-                cached = WorkloadTrace(
-                    benchmark=spec.name,
-                    input_name=spec.input_name(input_index),
-                    trace=stored,
-                    metadata={
-                        "program": spec.build(input_index),
-                        "instructions": n,
-                        "from_trace_store": True,
-                    },
-                )
-            else:
-                obs.counter("lab.trace.build")
-                _log.info(
-                    "generating trace %s/input%d (%d instructions)", name, input_index, n
-                )
-                with obs.timer(
-                    "lab.trace.generate", extra=(f"lab.trace.generate.{name}",)
-                ):
-                    cached = trace_workload(spec, input_index, instructions=n)
-                if self.trace_store is not None:
-                    self.trace_store.store(name, input_index, n, cached.trace)
-            with self._lock:
-                self._traces[key] = cached
-        finally:
-            self._leave_flight(flight_key)
-        return cached
+
+        def generate(_missing: List[Tuple]) -> List[WorkloadTrace]:
+            obs.counter("lab.trace.build")
+            _log.info("generating trace %s/input%d (%d instructions)", name, input_index, n)
+            with obs.timer("lab.trace.generate", extra=(f"lab.trace.generate.{name}",)):
+                return [trace_workload(workload_spec(name), input_index, instructions=n)]
+
+        return self._cached(self._traces, [key], generate)[key]
 
     # -- simulation --------------------------------------------------------
 
@@ -409,63 +408,9 @@ class Lab:
         slice_instructions: int = SLICE_INSTRUCTIONS,
     ) -> SimulationResult:
         """Simulate one predictor over one workload input, cached."""
-        if predictor not in PREDICTOR_FACTORIES:
-            raise KeyError(
-                f"unknown predictor {predictor!r}; register a factory in "
-                "PREDICTOR_FACTORIES"
-            )
-        n = instructions if instructions is not None else self.instructions_for(name)
-        key = (name, input_index, n, predictor, slice_instructions)
-        flight_key = ("sim", *key)
-        while True:
-            with self._lock:
-                cached = self._sims.get(key)
-                if cached is not None:
-                    obs.counter("lab.sim.cache_hit.memory")
-                    return cached
-                event = self._join_flight(flight_key)
-            if event is None:
-                break
-            obs.counter("lab.singleflight.wait")
-            event.wait()
-        try:
-            disk = self._disk_path(key)
-            if disk is not None and disk.exists():
-                cached = self._load_disk(disk)
-                if cached is not None:
-                    obs.counter("lab.sim.cache_hit.disk")
-                    _log.debug("disk cache hit: %s", disk)
-                    with self._lock:
-                        self._sims[key] = cached
-                    self._mark_complete(key)
-                    return cached
-
-            obs.counter("lab.sim.cache_miss")
-            _log.info(
-                "simulating %s/input%d with %s (%d instructions)",
-                name, input_index, predictor, n,
-            )
-            with obs.span(
-                "lab.simulate", workload=name, input=input_index, predictor=predictor
-            ):
-                trace = self.trace(name, input_index, n)
-                if introspect.is_enabled():
-                    # Label the simulation's introspection report; note that
-                    # cache hits above never reach this point, so reports only
-                    # exist for actually-simulated (workload, input) pairs.
-                    introspect.set_context(workload=name, input_name=input_index)
-                result = simulate_trace(
-                    trace.trace,
-                    PREDICTOR_FACTORIES[predictor](),
-                    slice_instructions=slice_instructions,
-                )
-            with self._lock:
-                self._sims[key] = result
-            if disk is not None and self._store_disk(disk, result):
-                self._mark_complete(key)
-        finally:
-            self._leave_flight(flight_key)
-        return result
+        return self.simulate_batch(
+            name, input_index, [predictor], instructions, slice_instructions
+        )[0]
 
     def simulate_batch(
         self,
@@ -480,91 +425,41 @@ class Lab:
         Cache misses are replayed together by
         :func:`~repro.pipeline.simulator.simulate_trace_batch`, which
         shares the trace pass (and, for the TAGE-SC-L family, the folded
-        history index streams) across configurations.  Every result lands
-        in the memory/disk caches under the same per-predictor key
-        :meth:`simulate` uses, so subsequent serial lookups are hits.
-        Results come back in ``predictors`` order, bit-identical to what
-        per-predictor :meth:`simulate` calls would have produced.
+        history index streams) across configurations.  Every result is
+        cached under its own per-predictor key, so any later request for
+        that predictor is a hit.  Results come back in ``predictors``
+        order, bit-identical to separate batches of one.
         """
         for predictor in predictors:
-            if predictor not in PREDICTOR_FACTORIES:
-                raise KeyError(
-                    f"unknown predictor {predictor!r}; register a factory in "
-                    "PREDICTOR_FACTORIES"
-                )
+            _check_predictor(predictor)
         n = instructions if instructions is not None else self.instructions_for(name)
-        keys = [
-            (name, input_index, n, predictor, slice_instructions)
-            for predictor in predictors
-        ]
-        resolved: Dict[Tuple, SimulationResult] = {}
-        missing: List[Tuple[str, Tuple]] = []   # keys this call leads
-        deferred: List[Tuple[str, Tuple]] = []  # keys another caller leads
-        led: set = set()  # flights this call still owns (released in finally)
-        try:
-            for predictor, key in zip(predictors, keys):
-                with self._lock:
-                    cached = self._sims.get(key)
-                    if cached is not None:
-                        obs.counter("lab.sim.cache_hit.memory")
-                        resolved[key] = cached
-                        continue
-                    if self._join_flight(("sim", *key)) is not None:
-                        # Another request is already computing this key —
-                        # don't redo it here; wait for it at the end.
-                        deferred.append((predictor, key))
-                        continue
-                    led.add(key)
-                disk = self._disk_path(key)
-                if disk is not None and disk.exists():
-                    cached = self._load_disk(disk)
-                    if cached is not None:
-                        obs.counter("lab.sim.cache_hit.disk")
-                        with self._lock:
-                            self._sims[key] = cached
-                        resolved[key] = cached
-                        self._mark_complete(key)
-                        led.discard(key)
-                        self._leave_flight(("sim", *key))
-                        continue
-                obs.counter("lab.sim.cache_miss")
-                missing.append((predictor, key))
-            if missing:
-                _log.info(
-                    "batch-simulating %s/input%d with %d predictor(s) "
-                    "(%d instructions)",
-                    name, input_index, len(missing), n,
-                )
-                with obs.span(
-                    "lab.simulate_batch",
-                    workload=name,
-                    input=input_index,
-                    predictors=len(missing),
-                ):
-                    trace = self.trace(name, input_index, n)
-                    if introspect.is_enabled():
-                        introspect.set_context(workload=name, input_name=input_index)
-                    results = simulate_trace_batch(
-                        trace.trace,
-                        [PREDICTOR_FACTORIES[p]() for p, _ in missing],
-                        slice_instructions=slice_instructions,
-                    )
-                for (_, key), result in zip(missing, results):
-                    with self._lock:
-                        self._sims[key] = result
-                    resolved[key] = result
-                    disk = self._disk_path(key)
-                    if disk is not None and self._store_disk(disk, result):
-                        self._mark_complete(key)
-        finally:
-            for key in led:
-                self._leave_flight(("sim", *key))
-        for predictor, key in deferred:
-            resolved[key] = self.simulate(
-                name, input_index, predictor,
-                instructions=n, slice_instructions=slice_instructions,
+        keys = [(name, input_index, n, p, slice_instructions) for p in predictors]
+
+        def replay(missing: List[Tuple]) -> List[SimulationResult]:
+            labels = [key[3] for key in missing]
+            obs.counter("lab.sim.cache_miss", len(missing))
+            _log.info(
+                "simulating %s/input%d with %s (%d instructions)",
+                name, input_index, ", ".join(labels), n,
             )
-        return [resolved[key] for key in keys]
+            with obs.span(
+                "lab.simulate", workload=name, input=input_index,
+                predictor=",".join(labels),
+            ):
+                trace = self.trace(name, input_index, n)
+                if introspect.is_enabled():
+                    # Label the simulation's introspection report; cache hits
+                    # never reach this point, so reports only exist for
+                    # actually-simulated (workload, input) pairs.
+                    introspect.set_context(workload=name, input_name=input_index)
+                return simulate_trace_batch(
+                    trace.trace,
+                    [PREDICTOR_FACTORIES[label]() for label in labels],
+                    slice_instructions=slice_instructions,
+                )
+
+        found = self._cached(self._sims, keys, replay)
+        return [found[key] for key in keys]
 
     # -- phase analysis ----------------------------------------------------
 
@@ -584,29 +479,8 @@ class Lab:
         """
         n = instructions if instructions is not None else self.instructions_for(name)
         key = (name, input_index, n, bbv_interval)
-        flight_key = ("phases", *key)
-        while True:
-            with self._lock:
-                cached = self._phase_counts.get(key)
-                if cached is not None:
-                    obs.counter("lab.phases.cache_hit.memory")
-                    return cached
-                event = self._join_flight(flight_key)
-            if event is None:
-                break
-            obs.counter("lab.singleflight.wait")
-            event.wait()
-        try:
-            disk: Optional[Path] = None
-            if self.cache_dir is not None:
-                disk = self.cache_dir / self._cache_filename("phases", key)
-                if disk.exists():
-                    loaded = self._load_disk(disk, want=int)
-                    if loaded is not None:
-                        obs.counter("lab.phases.cache_hit.disk")
-                        with self._lock:
-                            self._phase_counts[key] = loaded
-                        return loaded
+
+        def cluster(_missing: List[Tuple]) -> List[int]:
             obs.counter("lab.phases.cache_miss")
             _log.info(
                 "clustering phases for %s/input%d (%d instructions)",
@@ -617,17 +491,11 @@ class Lab:
                 bbv_interval=bbv_interval,
             )
             if result.bbvs is None or len(result.bbvs) < 2:
-                count = 1
-            else:
-                vectors = prepare_bbvs(result.bbvs)
-                count = cluster_phases(vectors, max_k=min(10, len(vectors))).num_phases
-            with self._lock:
-                self._phase_counts[key] = count
-            if disk is not None:
-                self._store_disk(disk, count)
-        finally:
-            self._leave_flight(flight_key)
-        return count
+                return [1]
+            vectors = prepare_bbvs(result.bbvs)
+            return [cluster_phases(vectors, max_k=min(10, len(vectors))).num_phases]
+
+        return self._cached(self._phase_counts, [key], cluster)[key]
 
     # -- parallel fan-out --------------------------------------------------
 
@@ -663,28 +531,19 @@ class Lab:
         todo: List[Union[SimJob, BatchSimJob]] = []
         planned = 0
         for job in batch:
-            if isinstance(job, BatchSimJob):
-                # Batch jobs are planned per member key; a partially cached
-                # batch is narrowed to its missing predictors before
-                # dispatch, so workers never redo cached configurations.
-                missing = []
-                for predictor, key in zip(job.predictors, job.sim_keys()):
-                    if self._plan_one(key):
-                        continue
-                    missing.append(predictor)
-                if not missing:
-                    planned += 1
-                    continue
-                if len(missing) < len(job.predictors):
-                    job = BatchSimJob(
-                        job.workload, job.input_index, job.instructions,
-                        tuple(missing), job.slice_instructions,
-                    )
-                todo.append(job)
-                continue
-            if self._plan_one(job.key()):
+            keys = job.sim_keys()
+            found = self._cached(self._sims, keys, None)
+            if all(key in found for key in keys):
                 planned += 1
                 continue
+            if found and isinstance(job, BatchSimJob):
+                # Narrow a partially cached batch to its missing predictors,
+                # so workers never redo cached configurations.
+                job = BatchSimJob(
+                    job.workload, job.input_index, job.instructions,
+                    tuple(key[3] for key in keys if key not in found),
+                    job.slice_instructions,
+                )
             todo.append(job)
         obs.counter("lab.parallel.jobs.cache_planned", planned)
         if not todo:
@@ -702,62 +561,17 @@ class Lab:
             self._scheduler.run(todo, self._store_job_result)
         return len(todo)
 
-    def _plan_one(self, key: Tuple) -> bool:
-        """True when one cache key needs no dispatch (memory/manifest/disk).
-
-        The manifest check is advisory: a checkpointed entry is planned
-        away without even touching the disk file — if it is gone or
-        corrupt, the serial render path recomputes it, so results stay
-        bit-identical.
-        """
-        with self._lock:
-            if key in self._sims:
-                return True
-        if self.manifest is not None and key in self.manifest:
-            obs.counter("lab.resume.planned")
-            return True
-        disk = self._disk_path(key)
-        if disk is not None and disk.exists():
-            cached = self._load_disk(disk)
-            if cached is not None:
-                obs.counter("lab.sim.cache_hit.disk")
-                with self._lock:
-                    self._sims[key] = cached
-                return True
-        return False
-
-    def _store_job_result(
-        self, job: Union[SimJob, BatchSimJob], result
-    ) -> None:
-        if isinstance(job, BatchSimJob):
-            for key, member in zip(job.sim_keys(), result):
-                with self._lock:
-                    self._sims[key] = member
-                disk = self._disk_path(key)
-                if disk is not None and self._store_disk(disk, member):
-                    self._mark_complete(key)
-            return
-        key = job.key()
-        with self._lock:
-            self._sims[key] = result
-        disk = self._disk_path(key)
-        if disk is not None and self._store_disk(disk, result):
-            self._mark_complete(key)
-
-    def _mark_complete(self, key: Tuple) -> None:
-        """Checkpoint one durably published request (no-op without --resume)."""
-        if self.manifest is not None:
-            self.manifest.mark(key, _CURRENT_EXPERIMENT.get())
+    def _store_job_result(self, job: Union[SimJob, BatchSimJob], result) -> None:
+        """Publish a worker's result(s) as if computed here."""
+        keys = job.sim_keys()
+        values = dict(zip(keys, result if isinstance(job, BatchSimJob) else [result]))
+        self._cached(self._sims, keys, lambda missing: [values[key] for key in missing])
 
     def _normalize_request(self, request: SimRequest) -> Union[SimJob, BatchSimJob]:
         """Fill tier defaults and validate names (KeyError like simulate)."""
         if isinstance(request, BatchSimJob):
             for predictor in request.predictors:
-                if predictor not in PREDICTOR_FACTORIES:
-                    raise KeyError(
-                        f"unknown predictor {predictor!r}; register a factory "
-                        "in PREDICTOR_FACTORIES"
-                    )
+                _check_predictor(predictor)
             workload_spec(request.workload)
             return request
         if isinstance(request, SimJob):
@@ -766,15 +580,63 @@ class Lab:
             name, input_index, predictor = request[:3]
             n = request[3] if len(request) > 3 else None
             slice_n = request[4] if len(request) > 4 else SLICE_INSTRUCTIONS
-        if predictor not in PREDICTOR_FACTORIES:
-            raise KeyError(
-                f"unknown predictor {predictor!r}; register a factory in "
-                "PREDICTOR_FACTORIES"
-            )
+        _check_predictor(predictor)
         workload_spec(name)  # raises for unknown workloads
         if n is None:
             n = self.instructions_for(name)
         return SimJob(name, input_index, n, predictor, slice_n)
+
+    # -- disk --------------------------------------------------------------
+
+    def _disk_get(self, kind: str, key: Tuple) -> Any:
+        """``key``'s persisted value, or ``None`` when absent or invalid."""
+        spec = _KINDS[kind]
+        if spec.filename is None:
+            return self._load_trace(*key)
+        disk = self._disk_path(key, spec.filename)
+        if disk is None or not disk.exists():
+            return None
+        value = self._load_disk(disk, want=spec.payload)
+        if value is not None:
+            _log.debug("disk cache hit: %s", disk)
+        return value
+
+    def _disk_put(self, kind: str, key: Tuple, value) -> None:
+        """Persist one computed value (the trace store holds traces)."""
+        spec = _KINDS[kind]
+        if spec.filename is None:
+            if self.trace_store is not None:
+                self.trace_store.store(*key, value.trace)
+            return
+        disk = self._disk_path(key, spec.filename)
+        if disk is not None and self._store_disk(disk, value):
+            obs.counter(spec.disk_store)
+
+    def _load_trace(self, name: str, input_index: int, n: int) -> Optional[WorkloadTrace]:
+        """A trace from the trace store, or ``None`` on a miss."""
+        if self.trace_store is None:
+            return None
+        stored = self.trace_store.load(name, input_index, n)
+        if stored is None:
+            return None
+        _log.info(
+            "loaded trace %s/input%d (%d instructions) from trace store",
+            name, input_index, n,
+        )
+        spec = workload_spec(name)
+        # The program is rebuilt (cheap, no execution) so consumers of
+        # ``metadata["program"]`` — e.g. the CNN study's static analysis —
+        # work identically on store hits.
+        return WorkloadTrace(
+            benchmark=spec.name,
+            input_name=spec.input_name(input_index),
+            trace=stored,
+            metadata={
+                "program": spec.build(input_index),
+                "instructions": n,
+                "from_trace_store": True,
+            },
+        )
 
     def _store_disk(self, disk: Path, result: object) -> bool:
         """Atomically publish one cache entry; True on durable success.
@@ -805,7 +667,6 @@ class Lab:
             _log.warning("could not write disk cache %s: %s", disk, exc)
             return False
         faults.corrupt_file("cache.corrupt", disk)
-        obs.counter("lab.sim.cache_store")
         return True
 
     def _load_disk(self, disk: Path, want: type = SimulationResult):
@@ -853,10 +714,10 @@ class Lab:
         human = "_".join(_slug(str(part)) for part in (kind, *key))
         return f"v{CACHE_VERSION}_{human}_{digest}.pkl"
 
-    def _disk_path(self, key: Tuple) -> Optional[Path]:
+    def _disk_path(self, key: Tuple, kind: str = "sim") -> Optional[Path]:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / self._cache_filename("sim", key)
+        return self.cache_dir / self._cache_filename(kind, key)
 
 
 _DEFAULT_LAB: Optional[Lab] = None

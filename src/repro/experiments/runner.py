@@ -86,11 +86,8 @@ def run_experiments(
     for name in selected:
         _log.info("starting experiment %s", name)
         # Span-based timing: the span lands in the exported tree (with lab
-        # simulate children) and also backs the elapsed display.  The
-        # experiment label is context-local (``Lab.experiment``), so
-        # checkpoint records written inside the block carry it without
-        # mutating shared Lab state.
-        with lab.experiment(name), obs.span(name, tier=lab.tier.name) as sp:
+        # simulate children) and also backs the elapsed display.
+        with obs.span(name, tier=lab.tier.name) as sp:
             # Fan the experiment's planned simulations out across the
             # worker pool first; the serial driver below then renders
             # entirely from cache hits.
@@ -133,13 +130,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="N",
         help="worker processes for the simulation fan-out "
         "(default: $REPRO_JOBS or 1 = serial; 0 means all cores)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="checkpoint completed simulations in the cache directory and, "
-        "on restart, re-dispatch only the missing ones "
-        "(requires --cache-dir or REPRO_CACHE_DIR; see docs/resilience.md)",
     )
     parser.add_argument(
         "--log-level",
@@ -190,7 +180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.introspect_out:
         obs.enable_introspection()
 
-    lab = Lab(cache_dir=args.cache_dir, jobs=args.jobs, resume=args.resume or None)
+    lab = Lab(cache_dir=args.cache_dir, jobs=args.jobs)
     try:
         run_experiments(args.experiments or None, lab)
     except ValueError as exc:

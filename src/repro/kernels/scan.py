@@ -25,7 +25,7 @@ shift-and-add passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -268,19 +268,3 @@ def packed_bit_windows(bits: np.ndarray, width: int) -> np.ndarray:
         P[u + 1 :] += b[: n - u] << u
     return P
 
-
-def first_appearance_counts(
-    keys: np.ndarray, weights_mask: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group a stream by key, preserving first-appearance order.
-
-    Returns ``(unique_keys, executions, flagged, order)`` where ``order``
-    ranks the unique keys by their first occurrence in the stream —
-    exactly the insertion order a scalar accumulation would produce —
-    and ``flagged`` counts stream elements with ``weights_mask`` set.
-    """
-    uniq, first_idx, inv = np.unique(keys, return_index=True, return_inverse=True)
-    executions = np.bincount(inv, minlength=len(uniq))
-    flagged = np.bincount(inv[weights_mask], minlength=len(uniq))
-    order = np.argsort(first_idx, kind="stable")
-    return uniq, executions, flagged, order

@@ -10,7 +10,7 @@ The JSON schema (``repro.obs/v2``) is documented in
       "counters": {"sim.branches": 123, ...},
       "gauges":   {"sim.branches_per_sec": 1.2e6, ...},
       "timers":   {"sim.trace": {"calls":..,"count":..,"total_s":..,
-                                 "est_total_s":..,"min_s":..,"max_s":..,
+                                 "min_s":..,"max_s":..,
                                  "mean_s":..,"p50_s":..,"p90_s":..}, ...},
       "spans":    [{"name":"table1","duration_s":..,"self_s":..,
                     "attrs":{...},"children":[...]}, ...]
@@ -118,16 +118,11 @@ def render_summary(doc: Optional[Dict[str, Any]] = None) -> str:
         width = max(len(n) for n in timers)
         lines.append("timers:")
         for n, t in timers.items():
-            sampled = (
-                f" ({t['count']}/{t['calls']} sampled)"
-                if t["count"] != t["calls"]
-                else ""
-            )
             lines.append(
                 f"  {n:<{width}}  calls={t['calls']:<6} "
-                f"total={format_duration(t['est_total_s']):<8} "
+                f"total={format_duration(t['total_s']):<8} "
                 f"mean={format_duration(t['mean_s']):<8} "
-                f"p90={format_duration(t['p90_s'])}{sampled}"
+                f"p90={format_duration(t['p90_s'])}"
             )
     if spans:
         lines.append("spans:")

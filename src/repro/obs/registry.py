@@ -4,11 +4,6 @@ The registry is designed around one invariant: **when disabled, every
 entry point costs a single attribute check and returns immediately**, so
 instrumented hot loops (the simulator scores ~1M branches/s in pure
 Python) are unaffected unless the user opts in.
-
-Timers additionally support *sampling*: ``timer(name, sample=64)`` counts
-every call but only measures wall-time for one call in 64, keeping
-``perf_counter`` overhead out of tight loops while still estimating the
-total (``est_total_s = mean_sampled * calls``).
 """
 
 from __future__ import annotations
@@ -51,17 +46,16 @@ class Gauge:
 class Timer:
     """Aggregated wall-time observations for one named operation.
 
-    Tracks every *call* but only aggregates *sampled* durations; a ring
-    buffer of recent samples supports percentile estimates without
-    unbounded growth.
+    Every call is measured; a ring buffer of recent durations supports
+    percentile estimates without unbounded growth.
     """
 
     __slots__ = ("name", "calls", "count", "total_s", "min_s", "max_s", "_ring")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.calls = 0  # every entry, sampled or not
-        self.count = 0  # measured entries
+        self.calls = 0  # entries
+        self.count = 0  # measured entries (always equal to ``calls``)
         self.total_s = 0.0
         self.min_s = float("inf")
         self.max_s = 0.0
@@ -84,11 +78,6 @@ class Timer:
     def mean_s(self) -> float:
         return self.total_s / self.count if self.count else 0.0
 
-    @property
-    def est_total_s(self) -> float:
-        """Estimated wall-time across *all* calls (sampling-corrected)."""
-        return self.mean_s * self.calls
-
     def percentile(self, q: float) -> float:
         """Approximate percentile (0..1) over the retained sample ring."""
         if not self._ring:
@@ -102,7 +91,6 @@ class Timer:
             "calls": self.calls,
             "count": self.count,
             "total_s": self.total_s,
-            "est_total_s": self.est_total_s,
             "min_s": self.min_s if self.count else 0.0,
             "max_s": self.max_s,
             "mean_s": self.mean_s,
@@ -137,7 +125,7 @@ class _TimerContext:
 
 
 class _NoopContext:
-    """Shared do-nothing context manager (disabled / unsampled path)."""
+    """Shared do-nothing context manager (disabled path)."""
 
     __slots__ = ()
     elapsed_s = 0.0
@@ -200,13 +188,11 @@ class MetricsRegistry:
             return
         self.gauge(name).set(value)
 
-    def time(self, name: str, sample: int = 1, extra=()) -> "_TimerContext | _NoopContext":
+    def time(self, name: str, extra=()) -> "_TimerContext | _NoopContext":
         if not self.enabled:
             return _NOOP
         t = self.timer(name)
         t.calls += 1
-        if sample > 1 and t.calls % sample:
-            return _NOOP
         return _TimerContext(t, self, extra)
 
     def observe(self, name: str, seconds: float) -> None:
@@ -302,7 +288,7 @@ def enable() -> None:
 
 
 def disable() -> None:
-    """Turn metric (and span) collection off (fast no-op paths resume)."""
+    """Turn metric (and span) collection off (the fast no-op paths apply again)."""
     _REGISTRY.enabled = False
 
 
@@ -335,14 +321,13 @@ def gauge(name: str, value: float) -> None:
     _REGISTRY.gauge(name).set(value)
 
 
-def timer(name: str, sample: int = 1, extra=()):
+def timer(name: str, extra=()):
     """Context manager timing a block into timer ``name``.
 
-    ``sample=N`` measures only one call in N (all calls are still counted);
     ``extra`` names additional timers that receive the same duration (e.g.
     a per-predictor breakdown alongside the aggregate).
     """
-    return _REGISTRY.time(name, sample=sample, extra=extra)
+    return _REGISTRY.time(name, extra=extra)
 
 
 def observe_timer(name: str, seconds: float) -> None:

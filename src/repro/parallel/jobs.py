@@ -44,6 +44,10 @@ class SimJob:
             self.slice_instructions,
         )
 
+    def sim_keys(self) -> Tuple[Tuple[str, int, int, str, int], ...]:
+        """The Lab cache keys this job populates (just :meth:`key`)."""
+        return (self.key(),)
+
 
 @dataclass(frozen=True)
 class BatchSimJob:

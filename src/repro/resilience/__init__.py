@@ -1,4 +1,4 @@
-"""``repro.resilience``: fault injection, quarantine, and checkpoint/resume.
+"""``repro.resilience``: fault injection and cache quarantine.
 
 The experiment engine's failure-handling toolkit (``docs/resilience.md``):
 
@@ -8,10 +8,11 @@ The experiment engine's failure-handling toolkit (``docs/resilience.md``):
   corrupt cache and trace-store entries, and fake ``ENOSPC`` on publish;
 * :mod:`repro.resilience.quarantine` — corrupt/stale on-disk cache
   payloads are moved to a ``quarantine/`` subdirectory (counted under
-  ``lab.cache.quarantined``) instead of being re-read every run;
-* :mod:`repro.resilience.manifest` — an append-only checkpoint of
-  completed simulation requests, letting an interrupted sweep restart
-  with ``--resume`` and re-dispatch only the missing work.
+  ``lab.cache.quarantined``) instead of being re-read every run.
+
+An interrupted sweep needs no checkpoint of its own: every finished
+simulation is already published to the disk cache, so rerunning on the
+same cache directory recomputes only the missing work.
 
 Every recovery path preserves the engine's core invariant: recovered
 runs produce **bit-identical** statistics to a clean serial run.
@@ -27,18 +28,15 @@ from repro.resilience.faults import (
 from repro.resilience.faults import active as active_faults
 from repro.resilience.faults import install as install_faults
 from repro.resilience.faults import uninstall as uninstall_faults
-from repro.resilience.manifest import MANIFEST_SCHEMA, ResumeManifest
 from repro.resilience.quarantine import QUARANTINE_DIRNAME, quarantine_file
 
 __all__ = [
     "CORRUPT_PAYLOAD",
     "KNOWN_SITES",
-    "MANIFEST_SCHEMA",
     "QUARANTINE_DIRNAME",
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
-    "ResumeManifest",
     "active_faults",
     "install_faults",
     "quarantine_file",

@@ -1,7 +1,10 @@
-"""Lab under concurrency: per-key single-flight, LRU cache bounds and
-eviction counters, and context-local experiment labels."""
+"""Lab under concurrency: per-key single-flight (for single simulations
+and overlapping batches) and LRU cache bounds with eviction counters."""
 
+import sys
 import threading
+import time
+from collections import Counter
 
 from repro.config import ExperimentTier
 from repro.experiments import lab as lab_module
@@ -23,13 +26,13 @@ class TestSingleFlight:
     def test_concurrent_same_key_computes_once(self, monkeypatch):
         lab = Lab(tier=TIER, jobs=1)
         calls = []
-        real = lab_module.simulate_trace
+        real = lab_module.simulate_trace_batch
 
         def counting(*args, **kwargs):
             calls.append(threading.get_ident())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lab_module, "simulate_trace", counting)
+        monkeypatch.setattr(lab_module, "simulate_trace_batch", counting)
         workers = 6
         results = [None] * workers
         barrier = threading.Barrier(workers)
@@ -47,7 +50,8 @@ class TestSingleFlight:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "a waiter hung"
         assert len(calls) == 1
         # Followers join the leader's flight and read its published result.
         assert all(r is results[0] for r in results)
@@ -70,7 +74,8 @@ class TestSingleFlight:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "a waiter hung"
         for predictor in predictors:
             assert results[predictor].predictor_name == predictor
 
@@ -78,7 +83,7 @@ class TestSingleFlight:
         """A leader that raises must wake waiters, and a waiter must retry
         (becoming the new leader) instead of hanging or caching the error."""
         lab = Lab(tier=TIER, jobs=1)
-        real = lab_module.simulate_trace
+        real = lab_module.simulate_trace_batch
         calls = []
         fail_first = threading.Event()
 
@@ -89,7 +94,7 @@ class TestSingleFlight:
                 raise RuntimeError("injected leader failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lab_module, "simulate_trace", flaky)
+        monkeypatch.setattr(lab_module, "simulate_trace_batch", flaky)
         outcomes = []
         started = threading.Barrier(2)
 
@@ -114,6 +119,146 @@ class TestSingleFlight:
         successes = [o for o in outcomes if o is not None]
         assert successes, "no caller recovered after the injected failure"
         assert successes[0].predictor_name == "bimodal"
+
+
+class TestOverlappingBatches:
+    def test_each_key_computed_once(self, monkeypatch):
+        lab = Lab(tier=TIER, jobs=1)
+        real = lab_module.simulate_trace_batch
+        computed = Counter()
+        lock = threading.Lock()
+
+        def counting(trace, predictors, *args, **kwargs):
+            with lock:
+                computed.update(p.name for p in predictors)
+            time.sleep(0.05)  # widen the window in which the batches overlap
+            return real(trace, predictors, *args, **kwargs)
+
+        monkeypatch.setattr(lab_module, "simulate_trace_batch", counting)
+        lists = {"a": ["bimodal", "gshare"], "b": ["gshare", "two-level-local"]}
+        results = {}
+        barrier = threading.Barrier(len(lists))
+
+        def worker(name):
+            barrier.wait()
+            results[name] = lab.simulate_batch(
+                "game", 0, lists[name], instructions=INSTR, slice_instructions=SLICE
+            )
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in lists]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "a batch hung"
+        assert computed == Counter(bimodal=1, gshare=1, **{"two-level-local": 1})
+        for name, predictors in lists.items():
+            assert [r.predictor_name for r in results[name]] == predictors
+        # Both batches got the one published gshare result.
+        assert results["a"][1] is results["b"][0]
+
+    def test_stress_overlapping_batches_compute_each_key_once(self, monkeypatch):
+        """More threads than cores, a short switch interval, and every
+        rotation of three predictors: a lost flight or a double compute
+        shows up as a count other than one per key."""
+        lab = Lab(tier=TIER, jobs=1)
+        real = lab_module.simulate_trace_batch
+        computed = Counter()
+        lock = threading.Lock()
+
+        def counting(trace, predictors, *args, **kwargs):
+            with lock:
+                computed.update(p.name for p in predictors)
+            return real(trace, predictors, *args, **kwargs)
+
+        monkeypatch.setattr(lab_module, "simulate_trace_batch", counting)
+        labels = ["bimodal", "gshare", "two-level-local"]
+        workers = 8
+        results = [None] * workers
+        barrier = threading.Barrier(workers)
+
+        def worker(slot):
+            barrier.wait()
+            rotated = labels[slot % 3:] + labels[: slot % 3]
+            results[slot] = dict(zip(rotated, lab.simulate_batch(
+                "game", 0, rotated, instructions=INSTR, slice_instructions=SLICE
+            )))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a batch hung"
+        assert computed == Counter(labels)
+        for label in labels:
+            assert all(r[label] is results[0][label] for r in results)
+
+    def test_failed_batch_leader_wakes_deferred_follower(
+        self, monkeypatch, obs_enabled
+    ):
+        """Batch A leads gshare and fails; batch B, deferred on gshare,
+        wakes, takes the key over and finishes.  Nothing hangs, and the
+        error is not cached."""
+        lab = Lab(tier=TIER, jobs=1)
+        real = lab_module.simulate_trace_batch
+        calls = []
+        a_computing = threading.Event()
+
+        def flaky(trace, predictors, *args, **kwargs):
+            names = tuple(p.name for p in predictors)
+            calls.append(names)
+            if names == ("bimodal", "gshare"):
+                a_computing.set()
+                # Fail only once B is waiting on the gshare flight.
+                deadline = time.monotonic() + 30
+                while (
+                    obs_enabled.counter("lab.singleflight.wait").value < 1
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                raise RuntimeError("injected leader failure")
+            return real(trace, predictors, *args, **kwargs)
+
+        monkeypatch.setattr(lab_module, "simulate_trace_batch", flaky)
+        outcomes = {}
+
+        def batch_a():
+            try:
+                lab.simulate_batch(
+                    "game", 0, ["bimodal", "gshare"],
+                    instructions=INSTR, slice_instructions=SLICE,
+                )
+            except RuntimeError as exc:
+                outcomes["a"] = exc
+
+        def batch_b():
+            assert a_computing.wait(timeout=30)
+            outcomes["b"] = lab.simulate_batch(
+                "game", 0, ["two-level-local", "gshare"],
+                instructions=INSTR, slice_instructions=SLICE,
+            )
+
+        threads = [threading.Thread(target=batch_a), threading.Thread(target=batch_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "a batch hung"
+        assert isinstance(outcomes["a"], RuntimeError)
+        assert [r.predictor_name for r in outcomes["b"]] == ["two-level-local", "gshare"]
+        assert calls == [("bimodal", "gshare"), ("two-level-local",), ("gshare",)]
+        # The failed key was never published: the next request computes it.
+        again = lab.simulate(
+            "game", 0, "bimodal", instructions=INSTR, slice_instructions=SLICE
+        )
+        assert again.predictor_name == "bimodal"
+        assert calls[-1] == ("bimodal",)
 
 
 class TestLruBounds:
@@ -152,43 +297,3 @@ class TestLruBounds:
             lab.trace("game", 0, 10_000 + extra * 1_000)
         assert len(lab._traces) == 4
         assert obs_enabled.counters_dict().get("lab.mem.evicted", 0) == 0
-
-
-class TestExperimentLabels:
-    def test_labels_are_context_local(self):
-        """Two threads inside different experiment() blocks each see their
-        own label — the old shared-attribute bug bled labels across
-        concurrent requests."""
-        lab = Lab(tier=TIER, jobs=1)
-        barrier = threading.Barrier(2)
-        seen = {}
-
-        def worker(name):
-            with lab.experiment(name):
-                barrier.wait()  # both threads are inside their blocks now
-                seen[name] = Lab.current_experiment()
-
-        threads = [
-            threading.Thread(target=worker, args=(name,)) for name in ("a", "b")
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert seen == {"a": "a", "b": "b"}
-        assert Lab.current_experiment() is None
-
-    def test_begin_experiment_still_labels(self):
-        lab = Lab(tier=TIER, jobs=1)
-        lab.begin_experiment("imperative")
-        assert Lab.current_experiment() == "imperative"
-        lab.begin_experiment(None)
-        assert Lab.current_experiment() is None
-
-    def test_nested_blocks_restore(self):
-        lab = Lab(tier=TIER, jobs=1)
-        with lab.experiment("outer"):
-            with lab.experiment("inner"):
-                assert Lab.current_experiment() == "inner"
-            assert Lab.current_experiment() == "outer"
-        assert Lab.current_experiment() is None

@@ -54,6 +54,19 @@ class TestCacheCounters:
         assert counters["lab.sim.cache_hit.disk"] == 1
         assert counters["lab.sim.cache_miss"] == 1
 
+    def test_phase_count_counts_as_phases_not_sims(self, obs_enabled, tmp_path):
+        lab = Lab(tier=QUICK_TIER, cache_dir=str(tmp_path))
+        lab.phase_count(WORKLOAD, 0, instructions=INSTRUCTIONS, bbv_interval=10_000)
+        lab_counters = {
+            name: value
+            for name, value in obs_enabled.counters_dict().items()
+            if name.startswith(("lab.sim.", "lab.phases."))
+        }
+        assert lab_counters == {"lab.phases.cache_miss": 1, "lab.phases.cache_store": 1}
+        fresh = Lab(tier=QUICK_TIER, cache_dir=str(tmp_path))
+        fresh.phase_count(WORKLOAD, 0, instructions=INSTRUCTIONS, bbv_interval=10_000)
+        assert obs_enabled.counters_dict()["lab.phases.cache_hit.disk"] == 1
+
     def test_simulate_span_recorded(self, obs_enabled):
         from repro.obs.spans import span_trees
 

@@ -1,9 +1,8 @@
 """Fault-tolerance suite (`repro.resilience`): injected worker crashes,
 transient I/O errors, corrupt cache/trace-store entries, ENOSPC, timeouts
-with retry exhaustion, and checkpoint/resume — every recovery path must
+with retry exhaustion, and rerun after an interrupt — every recovery path must
 produce stats bit-identical to a clean serial run."""
 
-import json
 import pickle
 
 import pytest
@@ -16,7 +15,6 @@ from repro.resilience import (
     CORRUPT_PAYLOAD,
     FaultPlan,
     FaultRule,
-    ResumeManifest,
 )
 from repro.resilience import faults as fault_mod
 from repro.resilience.quarantine import QUARANTINE_DIRNAME
@@ -303,87 +301,24 @@ class TestCacheAliasRegression:
         assert _stats_tuple(b) == serial_reference[1]
 
 
-class TestResumeManifest:
-    KEY_A = ("game", 0, 20_000, "bimodal", 10_000)
-    KEY_B = ("game", 0, 20_000, "gshare", 10_000)
-
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        manifest = ResumeManifest(path, CACHE_VERSION)
-        manifest.load()
-        manifest.mark(self.KEY_A, experiment="table1")
-        manifest.mark(self.KEY_B)
-        manifest.mark(self.KEY_A)  # idempotent
-        manifest.close()
-        reloaded = ResumeManifest(path, CACHE_VERSION)
-        assert reloaded.load() == 2
-        assert self.KEY_A in reloaded and self.KEY_B in reloaded
-        assert reloaded.completed() == {self.KEY_A, self.KEY_B}
-
-    def test_torn_tail_line_is_skipped(self, tmp_path, obs_enabled):
-        path = tmp_path / "m.jsonl"
-        manifest = ResumeManifest(path, CACHE_VERSION)
-        manifest.load()
-        manifest.mark(self.KEY_A)
-        manifest.close()
-        with open(path, "a") as f:
-            f.write('{"key": ["tru')  # killed mid-append
-        reloaded = ResumeManifest(path, CACHE_VERSION)
-        assert reloaded.load() == 1
-        assert obs_enabled.counters_dict()["lab.resume.invalid_line"] == 1
-
-    def test_stale_cache_version_resets(self, tmp_path, obs_enabled):
-        path = tmp_path / "m.jsonl"
-        old = ResumeManifest(path, CACHE_VERSION - 1)
-        old.load()
-        old.mark(self.KEY_A)
-        old.close()
-        manifest = ResumeManifest(path, CACHE_VERSION)
-        assert manifest.load() == 0
-        assert obs_enabled.counters_dict()["lab.resume.reset"] == 1
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["cache_version"] == CACHE_VERSION
-
-
-class TestResumeAfterInterrupt:
-    def test_resume_dispatches_only_missing_requests(
+class TestRerunAfterInterrupt:
+    def test_rerun_dispatches_only_missing_requests(
         self, obs_enabled, tmp_path, serial_reference
     ):
-        # "Interrupted" sweep: only the first job completed and was
-        # checkpointed before the kill.
-        with Lab(tier=TEST_TIER, cache_dir=str(tmp_path), jobs=2, resume=True) as lab:
+        # "Interrupted" sweep: only the first job completed (and was
+        # published to the disk cache) before the kill.
+        with Lab(tier=TEST_TIER, cache_dir=str(tmp_path), jobs=2) as lab:
             assert lab.prefetch(JOBS[:1]) == 1
         before = obs_enabled.counter("lab.parallel.jobs.dispatched").value
-        # The restarted sweep asks for everything; only the two missing
-        # requests may be dispatched (acceptance: lab.parallel.jobs.dispatched).
-        with Lab(tier=TEST_TIER, cache_dir=str(tmp_path), jobs=2, resume=True) as lab:
+        # A rerun on the same cache dir asks for everything; the disk cache
+        # plans the finished request away and only the two missing ones
+        # are dispatched.
+        with Lab(tier=TEST_TIER, cache_dir=str(tmp_path), jobs=2) as lab:
             assert lab.prefetch(JOBS) == 2
             stats = _simulate_all(lab)
         assert obs_enabled.counter("lab.parallel.jobs.dispatched").value - before == 2
-        assert obs_enabled.counter("lab.resume.planned").value == 1
+        assert obs_enabled.counter("lab.parallel.jobs.cache_planned").value == 1
         assert stats == serial_reference
-
-    def test_manifest_plans_away_completed_work_without_touching_disk(
-        self, obs_enabled, tmp_path, serial_reference
-    ):
-        with Lab(tier=TEST_TIER, cache_dir=str(tmp_path), jobs=2, resume=True) as lab:
-            assert lab.prefetch(JOBS) == len(JOBS)
-        # Destroy the cached payloads but keep the manifest: planning must
-        # still skip the checkpointed keys (no disk reads)...
-        for pkl in tmp_path.glob("*.pkl"):
-            pkl.unlink()
-        with Lab(tier=TEST_TIER, cache_dir=str(tmp_path), jobs=2, resume=True) as lab:
-            assert lab.prefetch(JOBS) == 0
-            assert obs_enabled.counter("lab.resume.planned").value == len(JOBS)
-            # ...and because the manifest is advisory, the render-path
-            # recompute still restores bit-identical results.
-            stats = _simulate_all(lab)
-        assert stats == serial_reference
-
-    def test_resume_without_cache_dir_is_ignored(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        lab = Lab(tier=TEST_TIER, resume=True)
-        assert lab.manifest is None
 
 
 class TestPoolLifecycle:

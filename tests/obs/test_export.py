@@ -55,6 +55,13 @@ class TestSummary:
         assert "storage_kib=64" in text
         assert "lab.simulate" in text
 
+    def test_summary_total_is_the_measured_total(self, obs_enabled):
+        obs.observe_timer("ext", 1.5)
+        obs.observe_timer("ext", 2.5)
+        line = next(l for l in obs.render_summary().splitlines() if "ext" in l)
+        assert "calls=2" in line and "total=4.0s" in line
+        assert "sampled" not in line
+
     def test_summary_empty_registry(self, obs_enabled):
         text = obs.render_summary()
         assert "no metrics collected" in text

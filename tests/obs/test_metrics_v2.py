@@ -158,18 +158,3 @@ class TestResilienceCountersSurvive:
         # The degraded in-process jobs still publish their sim counters.
         assert counters["lab.parallel.jobs.completed"] == len(JOBS)
         assert counters["sim.branches"] > 0
-
-    def test_resume_counters_reach_metrics_json(self, obs_enabled, tmp_path):
-        cache = tmp_path / "cache"
-        lab = Lab(tier=TEST_TIER, cache_dir=str(cache), jobs=1, resume=True)
-        try:
-            lab.simulate("game", 0, "bimodal",
-                         instructions=20_000, slice_instructions=10_000)
-        finally:
-            lab.close()
-        lab = Lab(tier=TEST_TIER, cache_dir=str(cache), jobs=1, resume=True)
-        lab.close()
-        doc = read_metrics_json(obs.write_metrics_json(tmp_path / "m.json"))
-        counters = doc["counters"]
-        assert counters["lab.resume.marked"] >= 1
-        assert counters["lab.resume.loaded"] >= 1

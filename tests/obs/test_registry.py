@@ -1,4 +1,4 @@
-"""Registry semantics: counters, gauges, timers, sampling, no-op paths."""
+"""Registry semantics: counters, gauges, timers, no-op paths."""
 
 import time
 
@@ -38,15 +38,6 @@ class TestTimers:
         with obs.timer("op") as tc:
             time.sleep(0.001)
         assert tc.elapsed_s >= 0.001
-
-    def test_sampling_counts_all_measures_some(self, obs_enabled):
-        for _ in range(8):
-            with obs.timer("hot", sample=4):
-                pass
-        t = obs_enabled.timer("hot")
-        assert t.calls == 8
-        assert t.count == 2  # one in four measured
-        assert t.est_total_s == t.mean_s * 8
 
     def test_extra_names_share_duration(self, obs_enabled):
         with obs.timer("sim.trace", extra=("sim.predictor.tage",)):

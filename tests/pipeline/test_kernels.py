@@ -17,7 +17,6 @@ from repro.kernels import kernels_enabled
 from repro.kernels.batched import batchable
 from repro.kernels.scan import (
     final_history,
-    first_appearance_counts,
     local_history,
     packed_history,
     saturating_counter_scan,
@@ -129,17 +128,6 @@ class TestHistoryHelpers:
             regs[g] = ((regs[g] << 1) | int(taken[i])) & mask
         final = dict(zip(lh.final_groups.tolist(), lh.final_registers.tolist()))
         assert final == {g: regs[g] for g in set(groups.tolist())}
-
-
-class TestFirstAppearanceCounts:
-    def test_orders_by_first_occurrence(self):
-        keys = np.array([7, 3, 7, 9, 3, 3], dtype=np.int64)
-        wrong = np.array([True, False, False, True, True, False])
-        uniq, execs, flagged, order = first_appearance_counts(keys, wrong)
-        ordered = [int(uniq[u]) for u in order]
-        assert ordered == [7, 3, 9]
-        by_key = {int(uniq[u]): (int(execs[u]), int(flagged[u])) for u in order}
-        assert by_key == {7: (2, 1), 3: (3, 1), 9: (1, 1)}
 
 
 # ---------------------------------------------------------------------------
