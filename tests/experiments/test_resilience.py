@@ -301,8 +301,8 @@ class TestCacheAliasRegression:
         assert _stats_tuple(b) == serial_reference[1]
 
 
-class TestRerunAfterInterrupt:
-    def test_rerun_dispatches_only_missing_requests(
+class TestResumeAfterInterrupt:
+    def test_resume_dispatches_only_missing_requests(
         self, obs_enabled, tmp_path, serial_reference
     ):
         # "Interrupted" sweep: only the first job completed (and was
@@ -310,9 +310,9 @@ class TestRerunAfterInterrupt:
         with Lab(tier=TEST_TIER, cache_dir=str(tmp_path), jobs=2) as lab:
             assert lab.prefetch(JOBS[:1]) == 1
         before = obs_enabled.counter("lab.parallel.jobs.dispatched").value
-        # A rerun on the same cache dir asks for everything; the disk cache
-        # plans the finished request away and only the two missing ones
-        # are dispatched.
+        # The restarted sweep (a plain rerun on the same cache dir) asks for
+        # everything; the disk cache plans the finished request away and
+        # only the two missing ones are dispatched.
         with Lab(tier=TEST_TIER, cache_dir=str(tmp_path), jobs=2) as lab:
             assert lab.prefetch(JOBS) == 2
             stats = _simulate_all(lab)
