@@ -1,9 +1,12 @@
 """Benchmarks: vectorized kernel throughput and the on-disk trace store.
 
-Two measurements back the kernel work's acceptance bar:
+Three measurements back the kernel work's acceptance bar:
 
-* scalar vs. vectorized branches/sec for bimodal and gshare over a
-  quick-tier trace (the kernels must clear a 5x speedup), and
+* scalar vs. vectorized time for every kernel family and for the
+  TAGE-SC-L batch-of-one replay over a quick-tier trace, each against
+  its own floor (``MIN_SPEEDUP``);
+* the fig. 7 storage sweep on one trace: six scalar TAGE-SC-L runs
+  against one multi-config batched replay (at least 3x), and
 * cold vs. warm trace acquisition through a :class:`TraceStore` (the warm
   path replaces interpreter execution with one ``.npz`` read).
 
@@ -11,20 +14,36 @@ Headline numbers land in ``benchmark.extra_info`` so the pytest-benchmark
 JSON artifact (see the ``kernels`` CI job) records them per run.
 """
 
-import os
 from time import perf_counter
 
+import pytest
 from conftest import run_once
 
 from repro.experiments.config import active_tier
-from repro.pipeline.simulator import simulate_trace
-from repro.predictors.simple import Bimodal, GShare
+from repro.experiments.lab import PREDICTOR_FACTORIES
+from repro.kernels import kernels_disabled, kernels_override
+from repro.pipeline.simulator import simulate_trace, simulate_trace_batch
+from repro.predictors.tagescl import STORAGE_PRESETS_KIB
 from repro.workloads import WORKLOADS_BY_NAME, TraceStore, trace_workload
 
 WORKLOAD = "605.mcf_s"
 
-#: The acceptance bar for the vectorized path (see docs/performance.md).
-MIN_SPEEDUP = 5.0
+#: Floor on scalar time over vectorized time, per predictor label.  The
+#: tabular kernels must clear 5x (see docs/performance.md); each other
+#: floor is 0.6 of the ratio recorded when its kernel landed, so only a
+#: real slip trips it on a noisy runner.
+MIN_SPEEDUP = {
+    "bimodal": 5.0,
+    "gshare": 5.0,
+    "two-level-local": 2.58,
+    "perceptron": 1.01,
+    "path-perceptron": 2.13,
+    "o-gehl": 2.04,
+    "tage-sc-l-8kb": 3.0,  # the batch-of-one replay
+}
+
+#: Floor for the fig. 7 sweep: six scalar runs over one batched replay.
+MIN_FIG7_SPEEDUP = 3.0
 
 
 def _quick_trace():
@@ -43,34 +62,20 @@ def _best_of(n, fn):
     return min(times)
 
 
-def _speedup_for(benchmark, make_predictor, traced):
+def _speedup_for(benchmark, label, traced):
     tier = active_tier()
     trace = traced.trace
     slice_instructions = tier.spec_instructions // tier.spec_slices
+    make_predictor = PREDICTOR_FACTORIES[label]
 
-    os.environ["REPRO_KERNELS"] = "0"
-    try:
-        scalar_s = _best_of(
-            2,
-            lambda: simulate_trace(
-                trace, make_predictor(), slice_instructions=slice_instructions
-            ),
-        )
-    finally:
-        os.environ["REPRO_KERNELS"] = "1"
-    kernel_s = _best_of(
-        3,
-        lambda: simulate_trace(
-            trace, make_predictor(), slice_instructions=slice_instructions
-        ),
-    )
-    run_once(
-        benchmark,
-        simulate_trace,
-        trace,
-        make_predictor(),
-        slice_instructions=slice_instructions,
-    )
+    def run():
+        simulate_trace(trace, make_predictor(), slice_instructions=slice_instructions)
+
+    with kernels_disabled():
+        scalar_s = _best_of(2, run)
+    with kernels_override(True):
+        kernel_s = _best_of(3, run)
+        run_once(benchmark, run)
 
     speedup = scalar_s / kernel_s
     benchmark.extra_info["workload"] = WORKLOAD
@@ -78,18 +83,45 @@ def _speedup_for(benchmark, make_predictor, traced):
     benchmark.extra_info["scalar_branches_per_sec"] = round(len(trace) / scalar_s)
     benchmark.extra_info["kernel_branches_per_sec"] = round(len(trace) / kernel_s)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    assert speedup >= MIN_SPEEDUP, (
-        f"vectorized {make_predictor().name} only {speedup:.2f}x over scalar "
-        f"(bar: {MIN_SPEEDUP}x)"
+    assert speedup >= MIN_SPEEDUP[label], (
+        f"vectorized {label} only {speedup:.2f}x over scalar "
+        f"(bar: {MIN_SPEEDUP[label]}x)"
     )
 
 
-def test_bimodal_kernel_speedup(benchmark):
-    _speedup_for(benchmark, Bimodal, _quick_trace())
+@pytest.mark.parametrize("label", list(MIN_SPEEDUP))
+def test_kernel_speedup(benchmark, label):
+    _speedup_for(benchmark, label, _quick_trace())
 
 
-def test_gshare_kernel_speedup(benchmark):
-    _speedup_for(benchmark, GShare, _quick_trace())
+def test_fig7_sweep_batched_speedup(benchmark):
+    """One workload's fig. 7 preset sweep: the scalar loop once per
+    preset against one multi-config batched replay of the same trace."""
+    tier = active_tier()
+    trace = trace_workload(
+        WORKLOADS_BY_NAME["nosql"], 0, instructions=tier.lcf_instructions
+    ).trace
+    sweep = [PREDICTOR_FACTORIES[f"tage-sc-l-{kib}kb"] for kib in STORAGE_PRESETS_KIB]
+
+    with kernels_disabled():
+        t0 = perf_counter()
+        for make_predictor in sweep:
+            simulate_trace(trace, make_predictor())
+        scalar_s = perf_counter() - t0
+    with kernels_override(True):
+        t0 = perf_counter()
+        run_once(benchmark, simulate_trace_batch, trace, [make() for make in sweep])
+        batched_s = perf_counter() - t0
+
+    speedup = scalar_s / batched_s
+    benchmark.extra_info["branches"] = len(trace)
+    benchmark.extra_info["scalar_sweep_s"] = round(scalar_s, 3)
+    benchmark.extra_info["batched_sweep_s"] = round(batched_s, 3)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    assert speedup >= MIN_FIG7_SPEEDUP, (
+        f"batched fig7 sweep only {speedup:.2f}x over the scalar loop "
+        f"(bar: {MIN_FIG7_SPEEDUP}x)"
+    )
 
 
 def test_trace_store_cold_vs_warm(benchmark, tmp_path):

@@ -5,8 +5,7 @@ the hot loops pay (at most) one attribute check:
 
 * a **metrics registry** — counters, gauges, and timing histograms
   (``obs.counter("lab.sim.cache_miss")``, ``with obs.timer("sim.trace"):``)
-  with a no-op fast path when disabled and optional sampling for timers
-  that would otherwise fire in hot loops;
+  with a no-op fast path when disabled;
 * **span tracing** — nested ``with obs.span("fig7", storage_kib=64):``
   blocks producing a per-experiment span tree with wall-time and
   child/self attribution;

@@ -9,7 +9,7 @@ The JSON schema (``repro.obs/v2``) is documented in
                    "seed": 0, "python": "...", "numpy": "...", ...},
       "counters": {"sim.branches": 123, ...},
       "gauges":   {"sim.branches_per_sec": 1.2e6, ...},
-      "timers":   {"sim.trace": {"calls":..,"count":..,"total_s":..,
+      "timers":   {"sim.trace": {"calls":..,"total_s":..,
                                  "min_s":..,"max_s":..,
                                  "mean_s":..,"p50_s":..,"p90_s":..}, ...},
       "spans":    [{"name":"table1","duration_s":..,"self_s":..,

@@ -50,19 +50,18 @@ class Timer:
     percentile estimates without unbounded growth.
     """
 
-    __slots__ = ("name", "calls", "count", "total_s", "min_s", "max_s", "_ring")
+    __slots__ = ("name", "calls", "total_s", "min_s", "max_s", "_ring")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.calls = 0  # entries
-        self.count = 0  # measured entries (always equal to ``calls``)
+        self.calls = 0
         self.total_s = 0.0
         self.min_s = float("inf")
         self.max_s = 0.0
         self._ring: List[float] = []
 
     def observe(self, seconds: float) -> None:
-        self.count += 1
+        self.calls += 1
         self.total_s += seconds
         if seconds < self.min_s:
             self.min_s = seconds
@@ -72,11 +71,11 @@ class Timer:
         if len(ring) < _TIMER_RING:
             ring.append(seconds)
         else:
-            ring[self.count % _TIMER_RING] = seconds
+            ring[self.calls % _TIMER_RING] = seconds
 
     @property
     def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
+        return self.total_s / self.calls if self.calls else 0.0
 
     def percentile(self, q: float) -> float:
         """Approximate percentile (0..1) over the retained sample ring."""
@@ -89,9 +88,8 @@ class Timer:
     def to_dict(self) -> Dict[str, float]:
         return {
             "calls": self.calls,
-            "count": self.count,
             "total_s": self.total_s,
-            "min_s": self.min_s if self.count else 0.0,
+            "min_s": self.min_s if self.calls else 0.0,
             "max_s": self.max_s,
             "mean_s": self.mean_s,
             "p50_s": self.percentile(0.50),
@@ -119,9 +117,7 @@ class _TimerContext:
         self.elapsed_s = dt
         self._timer.observe(dt)
         for name in self._extra:
-            t = self._registry.timer(name)
-            t.calls += 1
-            t.observe(dt)
+            self._registry.timer(name).observe(dt)
 
 
 class _NoopContext:
@@ -191,16 +187,12 @@ class MetricsRegistry:
     def time(self, name: str, extra=()) -> "_TimerContext | _NoopContext":
         if not self.enabled:
             return _NOOP
-        t = self.timer(name)
-        t.calls += 1
-        return _TimerContext(t, self, extra)
+        return _TimerContext(self.timer(name), self, extra)
 
     def observe(self, name: str, seconds: float) -> None:
         if not self.enabled:
             return
-        t = self.timer(name)
-        t.calls += 1
-        t.observe(seconds)
+        self.timer(name).observe(seconds)
 
     # -- cross-process aggregation ----------------------------------------
 
@@ -214,9 +206,8 @@ class MetricsRegistry:
             "timers": {
                 name: {
                     "calls": t.calls,
-                    "count": t.count,
                     "total_s": t.total_s,
-                    "min_s": t.min_s if t.count else 0.0,
+                    "min_s": t.min_s if t.calls else 0.0,
                     "max_s": t.max_s,
                     "samples": list(t._ring),
                 }
@@ -236,24 +227,24 @@ class MetricsRegistry:
         for name, value in (snap.get("gauges") or {}).items():
             self.gauge(name).set(value)
         for name, agg in (snap.get("timers") or {}).items():
+            calls = agg.get("calls", 0)
+            if not calls:
+                continue
             t = self.timer(name)
-            t.calls += agg.get("calls", 0)
-            count = agg.get("count", 0)
-            if count:
-                t.count += count
-                t.total_s += agg.get("total_s", 0.0)
-                if agg.get("min_s", 0.0) < t.min_s:
-                    t.min_s = agg["min_s"]
-                if agg.get("max_s", 0.0) > t.max_s:
-                    t.max_s = agg["max_s"]
-                ring = t._ring
-                slot = t.count
-                for seconds in agg.get("samples", ()):
-                    if len(ring) < _TIMER_RING:
-                        ring.append(seconds)
-                    else:
-                        ring[slot % _TIMER_RING] = seconds
-                        slot += 1
+            t.calls += calls
+            t.total_s += agg.get("total_s", 0.0)
+            if agg.get("min_s", 0.0) < t.min_s:
+                t.min_s = agg["min_s"]
+            if agg.get("max_s", 0.0) > t.max_s:
+                t.max_s = agg["max_s"]
+            ring = t._ring
+            slot = t.calls
+            for seconds in agg.get("samples", ()):
+                if len(ring) < _TIMER_RING:
+                    ring.append(seconds)
+                else:
+                    ring[slot % _TIMER_RING] = seconds
+                    slot += 1
 
     # -- introspection ----------------------------------------------------
 

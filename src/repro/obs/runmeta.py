@@ -1,10 +1,10 @@
 """Run metadata embedded in every exported artifact.
 
-Metrics files, timeline traces, introspection reports, and benchmark
-results from different PRs are only comparable if each one records *what*
-produced it.  :func:`run_metadata` gathers that provenance once per
-process — git SHA, ISO date, config tier, seed, interpreter and numpy
-versions, host — and every exporter embeds it verbatim.
+Metrics files, timeline traces, and introspection reports from different
+commits are only comparable if each one records *what* produced it.
+:func:`run_metadata` gathers that provenance once per process — git SHA,
+ISO date, config tier, seed, interpreter and numpy versions, host — and
+every exporter embeds it verbatim.
 
 The git lookup shells out once and caches; outside a git checkout (e.g.
 an installed wheel or an exported tarball) the SHA fields degrade to
@@ -23,16 +23,10 @@ from typing import Any, Dict, Optional, Tuple
 _git_cache: Optional[Tuple[Optional[str], bool]] = None
 
 
-def _git_state(fresh: bool = False) -> Tuple[Optional[str], bool]:
-    """``(sha, dirty)`` for the enclosing git checkout, cached per process.
-
-    ``fresh=True`` bypasses (and refreshes) the cache: long-lived
-    processes that commit mid-run — or benchmark harnesses whose import
-    happened before a checkout moved — must resolve HEAD at export time,
-    not replay whatever the first artifact export saw.
-    """
+def _git_state() -> Tuple[Optional[str], bool]:
+    """``(sha, dirty)`` for the enclosing git checkout, cached per process."""
     global _git_cache
-    if _git_cache is not None and not fresh:
+    if _git_cache is not None:
         return _git_cache
     sha: Optional[str] = None
     dirty = False
@@ -74,16 +68,11 @@ def _numpy_version() -> Optional[str]:
         return None
 
 
-def run_metadata(fresh: bool = False) -> Dict[str, Any]:
-    """Provenance header for exported artifacts (fresh timestamp each call).
-
-    ``fresh=True`` re-resolves the git state instead of reusing the
-    per-process cache — pass it when the artifact must pin the HEAD *at
-    export time* (e.g. ``repro.bench`` writing ``BENCH_core.json``).
-    """
+def run_metadata() -> Dict[str, Any]:
+    """Provenance header for exported artifacts (fresh timestamp each call)."""
     from repro.config import active_tier
 
-    sha, dirty = _git_state(fresh=fresh)
+    sha, dirty = _git_state()
     return {
         "git_sha": sha,
         "git_dirty": dirty,

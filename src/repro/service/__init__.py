@@ -24,10 +24,8 @@ concurrent clients:
 * **graceful drain** — SIGTERM/SIGINT stops accepting work, finishes
   what is in flight, and closes the Lab (worker pool included).
 
-Run the daemon with ``python -m repro.service`` and the matching load
-harness with ``python -m repro.service.loadtest`` (which emits a
-schema-versioned ``BENCH_service.json`` through the ``repro.bench``
-machinery).  Protocol and ops knobs: ``docs/service.md``.
+Run the daemon with ``python -m repro.service``.  Protocol, ops knobs
+and the load test: ``docs/service.md``.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from repro.obs.export import (
     METRICS_SCHEMA_VERSION,
     READABLE_SCHEMA_VERSIONS,
     read_metrics_json,
+    render_summary,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runmeta import run_metadata
@@ -34,28 +35,6 @@ class TestRunMetadata:
             assert key in meta
         assert meta["tier"] == "quick"
         assert meta["date"].endswith("+00:00") or "T" in meta["date"]
-
-    def test_fresh_overrides_stale_cache(self, monkeypatch):
-        """``fresh=True`` must re-resolve HEAD instead of replaying the
-        per-process cache (the BENCH_core.json stale-SHA bug)."""
-        import subprocess
-
-        from repro.obs import runmeta
-
-        stale_sha = "0" * 40
-        monkeypatch.setattr(runmeta, "_git_cache", (stale_sha, True))
-        assert run_metadata()["git_sha"] == stale_sha
-        fresh = run_metadata(fresh=True)
-        head = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=str(runmeta.__file__).rsplit("/", 1)[0],
-            capture_output=True, text=True,
-        ).stdout.strip()
-        if not head:
-            pytest.skip("not running inside a git checkout")
-        assert fresh["git_sha"] == head
-        # The refreshed state becomes the new cache for later callers.
-        assert runmeta._git_cache[0] == head
 
     def test_snapshot_carries_v2_header(self, obs_enabled):
         obs.counter("sim.branches", 1)
@@ -82,6 +61,19 @@ class TestReader:
         assert doc["counters"] == {"x": 1}
         assert doc["meta"] == {}
 
+    def test_reads_timers_that_still_carry_count(self, tmp_path):
+        """Docs written while timers exported a separate ``count`` still
+        read and render."""
+        timer = {"calls": 2, "count": 2, "total_s": 1.0, "min_s": 0.4,
+                 "max_s": 0.6, "mean_s": 0.5, "p50_s": 0.4, "p90_s": 0.6}
+        old = {"schema": "repro.obs/v2", "meta": {}, "counters": {},
+               "gauges": {}, "timers": {"sim.trace": timer}, "spans": []}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+        doc = read_metrics_json(path)
+        assert doc["timers"]["sim.trace"]["calls"] == 2
+        assert "calls=2" in render_summary(doc)
+
     def test_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "repro.obs/v99"}))
@@ -102,9 +94,9 @@ class TestMergePreservesDistributions:
     def test_samples_survive_merge(self, obs_enabled):
         obs_enabled.merge_snapshot(self._worker(1.0, 2.0, 3.0))
         t = obs_enabled.timer("sim.trace")
-        assert t.count == 3
+        assert t.calls == 3
         assert sorted(t._ring) == [1.0, 2.0, 3.0]
-        # Percentiles come from the merged samples, not just count/total.
+        # Percentiles come from the merged samples, not just calls/total.
         d = t.to_dict()
         assert d["p50_s"] == 2.0
 
@@ -113,7 +105,7 @@ class TestMergePreservesDistributions:
         obs_enabled.merge_snapshot(self._worker(0.5))
         obs_enabled.merge_snapshot(self._worker(9.0, 1.0))
         t = obs_enabled.timer("sim.trace")
-        assert t.count == 4
+        assert t.calls == 4
         assert t.min_s == 0.5 and t.max_s == 9.0
         assert sorted(t._ring) == [0.5, 1.0, 5.0, 9.0]
 
@@ -130,7 +122,7 @@ class TestMergePreservesDistributions:
         obs_enabled.merge_snapshot(self._worker(*[0.001] * (_TIMER_RING + 50)))
         t = obs_enabled.timer("sim.trace")
         assert len(t._ring) <= _TIMER_RING
-        assert t.count == _TIMER_RING + 50
+        assert t.calls == _TIMER_RING + 50
 
 
 class TestResilienceCountersSurvive:

@@ -1,9 +1,11 @@
 """Lab daemon: protocol, concurrent-client bit-identity, batching,
-single-flight dedupe, admission control, and graceful drain."""
+single-flight dedupe, admission control, graceful drain, and throughput
+under concurrent clients."""
 
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.service import (
 from repro.service.client import ServiceClient
 from repro.service.daemon import ServiceConfig, ServiceThread
 from repro.service.protocol import MAX_LINE_BYTES
+from tests.service.conftest import spawn_daemon, stop_daemon
 
 TIER = ExperimentTier(name="svctest", spec_inputs=1, spec_slices=1, lcf_slices=1)
 INSTR = 20_000
@@ -272,8 +275,6 @@ class TestDrain:
 
     def test_sigterm_drains_daemon_subprocess(self):
         """The real daemon process: serve, SIGTERM, exit 0, socket closed."""
-        from repro.service.loadtest import spawn_daemon, stop_daemon
-
         proc, address = spawn_daemon()
         try:
             with ServiceClient.connect(address) as client:
@@ -298,3 +299,62 @@ class TestDrain:
                 assert excinfo.value.code == SHED
         service_thread.stop()
         lab.close()
+
+
+def _closed_loop(address, clients, requests_per_client, mix):
+    """Each client thread sends one request and waits for its reply, over
+    and over.  Returns (requests per second, latencies in ms, errors)."""
+    barrier = threading.Barrier(clients + 1, timeout=60)
+    latencies_ms, errors = [], []
+
+    def client_loop(slot):
+        with ServiceClient.connect(address) as client:
+            barrier.wait()
+            for i in range(requests_per_client):
+                method, params = mix[(slot + i) % len(mix)]
+                t0 = time.perf_counter()
+                try:
+                    client.call(method, params)
+                except Exception as exc:
+                    errors.append(repr(exc))
+                latencies_ms.append((time.perf_counter() - t0) * 1000.0)
+
+    threads = [
+        threading.Thread(target=client_loop, args=(slot,), daemon=True)
+        for slot in range(clients)
+    ]
+    for t in threads:
+        t.start()
+    barrier.wait()
+    t0 = time.perf_counter()
+    for t in threads:
+        t.join()
+    return clients * requests_per_client / (time.perf_counter() - t0), latencies_ms, errors
+
+
+class TestLoad:
+    def test_eight_clients_double_warm_throughput(self):
+        """A spawned daemon, warmed with one pass of a five-request mix,
+        must serve 8 closed-loop clients at least twice as fast as one,
+        with p99 at most 2 s at each level and no failed request."""
+        mix = [("simulate", _params(p)) for p in PREDICTORS]
+        mix.append(("h2p", _params("tage-sc-l-8kb")))
+        proc, address = spawn_daemon()
+        try:
+            with ServiceClient.connect(address) as client:
+                for method, params in mix:
+                    client.call(method, params)
+            levels = {n: _closed_loop(address, n, 60, mix) for n in (1, 8)}
+        finally:
+            exit_code = stop_daemon(proc)
+        assert exit_code == 0
+        for clients, (_rps, latencies_ms, errors) in levels.items():
+            assert not errors, (clients, errors[:3])
+            ordered = sorted(latencies_ms)
+            p99 = ordered[round(0.99 * (len(ordered) - 1))]
+            assert p99 <= 2000.0, f"p99 {p99:.1f} ms at {clients} client(s)"
+        speedup = levels[8][0] / levels[1][0]
+        assert speedup >= 2.0, (
+            f"8 clients reach only {speedup:.2f}x the single-client throughput "
+            f"({levels[1][0]:.0f} vs {levels[8][0]:.0f} requests/s)"
+        )
