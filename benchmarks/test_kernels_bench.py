@@ -53,6 +53,12 @@ def _quick_trace():
     )
 
 
+#: Timing rounds per side in :func:`_speedup_for`.  The kernel side of the
+#: tabular families takes ~25 ms, so a single slow round would swing the
+#: ratio; the best of several interleaved rounds does not.
+SPEEDUP_ROUNDS = 7
+
+
 def _best_of(n, fn):
     times = []
     for _ in range(n):
@@ -71,10 +77,15 @@ def _speedup_for(benchmark, label, traced):
     def run():
         simulate_trace(trace, make_predictor(), slice_instructions=slice_instructions)
 
-    with kernels_disabled():
-        scalar_s = _best_of(2, run)
+    # Scalar and kernel rounds alternate, so a slow stretch on a shared
+    # host lands on both sides instead of on one.
+    scalar_s = kernel_s = float("inf")
+    for _ in range(SPEEDUP_ROUNDS):
+        with kernels_disabled():
+            scalar_s = min(scalar_s, _best_of(1, run))
+        with kernels_override(True):
+            kernel_s = min(kernel_s, _best_of(1, run))
     with kernels_override(True):
-        kernel_s = _best_of(3, run)
         run_once(benchmark, run)
 
     speedup = scalar_s / kernel_s

@@ -114,8 +114,10 @@ class BranchTrace:
         self.instr_count = int(instr_count)
         self._cond_cols: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._cond_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # Scoring-plan memo used by repro.kernels.engine: grouping work that
-        # depends only on (trace, warmup, slice length), not the predictor.
+        # Kernel-plan memo owned by repro.kernels.engine.plan_memo: scoring
+        # groupings, history streams and other predictor-independent
+        # precomputes.  Set back to None when the trace falls out of the
+        # engine's bounded set of plan-holding traces.
         self._plan_cache: Optional[Dict[Any, Any]] = None
 
     def __len__(self) -> int:

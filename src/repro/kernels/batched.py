@@ -261,7 +261,8 @@ def _precompute(
         idx_col = (
             ips_c ^ (ips_c >> tage._idx_shifts[t]) ^ ci_f[pos] ^ (path_c >> (t & 3))
         ) & tage._idx_masks[t]
-        tag_col = (ip11 ^ c0_f[pos] ^ (c1_f[pos] << 1)) & tage._tag_masks[t]
+        c1_col = c1_f[pos].astype(np.int64)
+        tag_col = (ip11 ^ c0_f[pos] ^ (c1_col << 1)) & tage._tag_masks[t]
         cols.append((idx_col << 16) | tag_col)
         ci_final.append(int(ci_f[-1]))
         c0_final.append(int(c0_f[-1]))

@@ -16,15 +16,21 @@ insertion orders, slice keys — and the per-call part that depends on the
 predictor's predictions (the misprediction bincounts).  The plan is built
 once and memoized on the trace, so the normal experiment shape (many
 predictors over one trace) pays the sorts once.
+
+Memoized plans are bounded: only the :data:`PLAN_RESIDENCY` most recently
+replayed traces keep theirs (see :func:`plan_memo`).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import threading
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core.metrics import BranchStats
 from repro.core.types import BranchTrace
 
@@ -259,21 +265,98 @@ def score_predictions(
 # window matrix — so these live on the same per-trace cache as the scoring
 # plan.  The normal experiment shape (several predictors / presets replayed
 # over one trace) pays each reconstruction once.
+#
+# Plans are several times larger than the trace they describe, and a Lab
+# keeps dozens of traces alive, so plan lifetime is bounded separately: a
+# process-wide recency list holds the traces whose plans are resident, and
+# touching a trace beyond the bound drops the least recent one's plans.
+
+#: How many traces keep their plans at once, process-wide.  At least the
+#: daemon's default compute-thread count, so concurrent requests over
+#: distinct traces do not evict each other's plans mid-replay.
+PLAN_RESIDENCY = 4
+
+
+class _PlanCache(Dict[Any, Any]):
+    """A trace's memoized plans plus the array bytes they hold."""
+
+    nbytes = 0
+
+
+#: Traces whose ``_plan_cache`` is set, least recently used first.  Traces
+#: are compared by identity; the list holds them only while resident.
+_resident: List[BranchTrace] = []
+_resident_lock = threading.Lock()
+
+
+def _array_nbytes(val: Any) -> int:
+    """Bytes of the numpy buffers directly inside one plan value (arrays,
+    tuples of them, dataclass fields); decoded Python lists count 0."""
+    if isinstance(val, np.ndarray):
+        return int(val.nbytes)
+    if isinstance(val, tuple):
+        return sum(_array_nbytes(v) for v in val)
+    if dataclasses.is_dataclass(val):
+        return sum(_array_nbytes(getattr(val, f.name)) for f in dataclasses.fields(val))
+    return 0
+
+
+def _publish_bytes() -> None:
+    """Set the ``kernels.plan.bytes`` gauge (caller holds the lock)."""
+    obs.gauge("kernels.plan.bytes", sum(plan_nbytes(t) for t in _resident))
+
+
+def _touch(trace: BranchTrace) -> _PlanCache:
+    """Mark ``trace`` most recently replayed; return its plan cache,
+    evicting the least recent trace's plans beyond :data:`PLAN_RESIDENCY`."""
+    with _resident_lock:
+        cache = trace._plan_cache
+        if _resident and _resident[-1] is trace and isinstance(cache, _PlanCache):
+            return cache
+        if not isinstance(cache, _PlanCache):
+            cache = trace._plan_cache = _PlanCache()
+        for i, t in enumerate(_resident):
+            if t is trace:
+                del _resident[i]
+                break
+        _resident.append(trace)
+        while len(_resident) > PLAN_RESIDENCY:
+            _resident.pop(0)._plan_cache = None
+            obs.counter("kernels.plan.evicted")
+        _publish_bytes()
+        return cache
 
 
 def plan_memo(trace: BranchTrace, key: Tuple, build: Callable[[], Any]) -> Any:
     """Memoize ``build()`` on ``trace._plan_cache`` under ``key``.
 
     Cached values are shared across predictors and must be treated as
-    immutable by every consumer.
+    immutable by every consumer.  Each call marks ``trace`` most recently
+    replayed; only :data:`PLAN_RESIDENCY` traces keep their plans, so a
+    long-evicted trace rebuilds on its next replay.  A concurrent eviction
+    never invalidates a value already returned, only the cache it lives in.
     """
-    cache = trace._plan_cache
-    if cache is None:
-        cache = trace._plan_cache = {}
+    cache = _touch(trace)
     val = cache.get(key)
     if val is None:
         val = cache[key] = build()
+        nbytes = _array_nbytes(val)
+        with _resident_lock:
+            cache.nbytes += nbytes
+            _publish_bytes()
     return val
+
+
+def resident_plan_traces() -> List[BranchTrace]:
+    """The traces currently holding plans, least recently replayed first."""
+    with _resident_lock:
+        return list(_resident)
+
+
+def plan_nbytes(trace: BranchTrace) -> int:
+    """Bytes of numpy arrays in ``trace``'s resident plans (0 if none)."""
+    cache = trace._plan_cache
+    return cache.nbytes if isinstance(cache, _PlanCache) else 0
 
 
 def cond_positions(trace: BranchTrace) -> np.ndarray:

@@ -25,7 +25,7 @@ shift-and-add passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -249,6 +249,14 @@ def local_history(
     return LocalHistory(out, g[start_idx], final_regs)
 
 
+def uint_dtype(width: int) -> "np.dtype[Any]":
+    """The narrowest unsigned integer dtype that holds ``width`` bits."""
+    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if width <= np.iinfo(dt).bits:
+            return np.dtype(dt)
+    raise ValueError(f"no unsigned dtype holds {width} bits")
+
+
 def packed_bit_windows(bits: np.ndarray, width: int) -> np.ndarray:
     """Sliding ``width``-bit windows over a 0/1 stream, packed LSB-first.
 
@@ -257,11 +265,14 @@ def packed_bit_windows(bits: np.ndarray, width: int) -> np.ndarray:
     read as 0.  One such array per distinct compressed length is all a
     folded-history reconstruction needs: the fold register of a
     geometric-history predictor before record ``k`` is the XOR of masked
-    chunks ``P[k - q*width]`` (see ``repro.kernels.batched``).
+    chunks ``P[k - q*width]`` (see ``repro.kernels.batched``).  Stored in
+    :func:`uint_dtype` of ``width``: these arrays are memoized per trace,
+    and every shipped geometry packs into ``uint8`` or ``uint16``.
     """
     n = len(bits)
-    P = np.zeros(n + 1, dtype=_INT)
-    b = np.asarray(bits, dtype=_INT)
+    dt = uint_dtype(width)
+    P = np.zeros(n + 1, dtype=dt)
+    b = np.asarray(bits, dtype=dt)
     for u in range(width):
         if u >= n:
             break

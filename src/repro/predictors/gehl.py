@@ -149,7 +149,10 @@ def folded_stream_history(
     the whole stream costs one memoized packed-window pass per ``width``
     plus ``ceil(length/width)`` XORs; the fold arrays themselves are
     memoized per ``(length, width, prefix)`` and shared across predictors
-    reading the same geometric history lengths.
+    reading the same geometric history lengths.  Both are stored in the
+    narrowest unsigned dtype holding ``width`` bits
+    (:func:`repro.kernels.scan.uint_dtype`), so callers widen before
+    shifting a fold left.
     """
     from repro.kernels import packed_bit_windows, plan_memo, stream_bits
 
@@ -184,7 +187,7 @@ def folded_stream_history(
             )
             fold = np.bitwise_xor.reduce(view, axis=0)
         else:
-            fold = np.zeros(n + 1, dtype=np.int64)
+            fold = np.zeros(n + 1, dtype=windows.dtype)
         if rem != width:
             lo = pre - (q_total - 1) * width
             fold ^= windows[lo : lo + n + 1] & ((1 << rem) - 1)

@@ -8,7 +8,9 @@ columns as a compressed ``.npz`` under the shared cache directory
 (``REPRO_CACHE_DIR``), addressed by a digest of that key plus
 :data:`TRACE_VERSION` — so the interpreter runs once per (workload, seed,
 budget) *ever*, across Labs, worker processes, and repository checkouts
-sharing the directory.
+sharing the directory.  Each column is written in the narrowest integer
+dtype its values fit (``instr_indices`` as first differences), and
+:class:`~repro.core.types.BranchTrace` widens them back on load.
 
 Concurrency follows the sim cache's discipline: entries are published
 atomically (unique sibling tempfile + ``os.replace``), racing writers of
@@ -40,8 +42,22 @@ from repro.resilience.quarantine import quarantine_file
 from repro.workloads.base import workload_seed
 
 #: Bump after any change that alters generated trace content for an
-#: existing (workload, seed, instructions) key.
-TRACE_VERSION = 1
+#: existing (workload, seed, instructions) key, or the stored encoding.
+TRACE_VERSION = 2
+
+_NARROW_DTYPES = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32)
+
+
+def _narrow(col: np.ndarray) -> np.ndarray:
+    """``col`` in the narrowest integer dtype holding its min and max."""
+    if not len(col):
+        return col
+    lo, hi = int(col.min()), int(col.max())
+    for dt in _NARROW_DTYPES:
+        info = np.iinfo(dt)
+        if info.min <= lo and hi <= info.max:
+            return col.astype(dt)
+    return col
 
 _log = obs.get_logger("lab.trace_store")
 
@@ -98,7 +114,7 @@ class TraceStore:
                     taken=data["taken"],
                     targets=data["targets"],
                     kinds=data["kinds"],
-                    instr_indices=data["instr_indices"],
+                    instr_indices=np.cumsum(data["instr_deltas"], dtype=np.int64),
                     instr_count=int(data["instr_count"]),
                 )
         except Exception as exc:
@@ -134,11 +150,11 @@ class TraceStore:
                         f,
                         key=key,
                         trace_version=np.int64(TRACE_VERSION),
-                        ips=trace.ips,
+                        ips=_narrow(trace.ips),
                         taken=trace.taken,
-                        targets=trace.targets,
+                        targets=_narrow(trace.targets),
                         kinds=trace.kinds,
-                        instr_indices=trace.instr_indices,
+                        instr_deltas=_narrow(np.diff(trace.instr_indices, prepend=0)),
                         instr_count=np.int64(trace.instr_count),
                     )
                 os.replace(tmp_name, path)

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.core.types import BranchKind, BranchTrace
 from repro.experiments.config import QUICK_TIER
 from repro.experiments.lab import Lab
 from repro.parallel.jobs import SimJob, run_sim_job, worker_init
 from repro.pipeline.simulator import simulate_trace
 from repro.predictors.simple import Bimodal
 from repro.workloads import (
+    ALL_WORKLOADS,
     TRACE_VERSION,
     WORKLOADS_BY_NAME,
     TraceStore,
+    trace_store,
     trace_workload,
     workload_seed,
 )
@@ -80,6 +83,72 @@ class TestStoreRoundTrip:
         assert counters["lab.trace_store.miss"] == 1
         assert counters["lab.trace_store.store"] == 1
         assert counters["lab.trace_store.hit"] == 1
+
+
+COLUMNS = ("ips", "taken", "targets", "kinds", "instr_indices")
+
+
+def assert_same_trace(loaded, want):
+    for col in COLUMNS:
+        assert np.array_equal(getattr(loaded, col), getattr(want, col)), col
+    for col in ("ips", "targets", "instr_indices"):
+        assert getattr(loaded, col).dtype == np.int64, col
+    assert loaded.instr_count == want.instr_count
+
+
+class TestNarrowColumns:
+    @pytest.mark.parametrize("spec", ALL_WORKLOADS, ids=lambda w: w.name)
+    def test_every_workload_round_trips_as_int64(self, tmp_path, spec):
+        n = 3_000
+        want = trace_workload(spec, 0, instructions=n).trace
+        store = TraceStore(tmp_path)
+        store.store(spec.name, 0, n, want)
+        assert_same_trace(store.load(spec.name, 0, n), want)
+
+    def test_wide_values_round_trip_exactly(self, tmp_path):
+        # IPs and targets past int16/int32, negative targets, and
+        # instruction gaps that need wide deltas.
+        ips = [70_000, 1 << 33, 5, (1 << 40) + 3, 40_000]
+        want = BranchTrace(
+            ips=ips,
+            taken=[1, 0, 1, 1, 0],
+            targets=[-70_000, 1 << 35, 0, 123_456, -(1 << 20)],
+            kinds=[int(BranchKind.CONDITIONAL)] * 4 + [int(BranchKind.CALL)],
+            instr_indices=[0, 1, 40_000, 1 << 34, (1 << 34) + 2],
+        )
+        store = TraceStore(tmp_path)
+        store.store("synthetic", 0, 5, want)
+        assert_same_trace(store.load("synthetic", 0, 5), want)
+
+    def test_columns_are_stored_narrow(self, tmp_path, traced):
+        store = TraceStore(tmp_path)
+        path = store.store(WORKLOAD, 0, INSTRUCTIONS, traced.trace)
+        with np.load(path) as data:
+            assert data["ips"].dtype.itemsize < 8
+            assert data["instr_deltas"].dtype.itemsize < 8
+
+    def test_v1_file_is_a_clean_miss(self, tmp_path, traced, obs_enabled, monkeypatch):
+        store = TraceStore(tmp_path)
+        t = traced.trace
+        with monkeypatch.context() as m:
+            m.setattr(trace_store, "TRACE_VERSION", 1)
+            v1_path = store.path_for(WORKLOAD, 0, INSTRUCTIONS)
+            np.savez_compressed(
+                v1_path,
+                key=store.key(WORKLOAD, 0, INSTRUCTIONS),
+                trace_version=np.int64(1),
+                ips=t.ips,
+                taken=t.taken,
+                targets=t.targets,
+                kinds=t.kinds,
+                instr_indices=t.instr_indices,
+                instr_count=np.int64(t.instr_count),
+            )
+        assert store.load(WORKLOAD, 0, INSTRUCTIONS) is None
+        counters = obs_enabled.counters_dict()
+        assert counters["lab.trace_store.miss"] == 1
+        assert "lab.trace_store.load_error" not in counters
+        assert v1_path.exists()  # a miss, not a quarantined entry
 
 
 class TestLabReadThrough:
